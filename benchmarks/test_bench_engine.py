@@ -1,10 +1,10 @@
-"""Benchmark: Engine v2 — event-queue backends, the ``post`` fast-path,
+"""Benchmark: Engine v2 — the heap event queue, the ``post`` fast-path,
 the compiled IR fast-path, and the persistent worker pool.
 
 Guards the simulator hot path (local bindings, hoisted trace branch, lazy-
-cancellation compaction) across **both** queue backends, and writes the
-headline numbers to ``BENCH_engine.json`` at the repo root (the CI perf
-artifact).  Three shapes:
+cancellation compaction) and writes the headline numbers to
+``BENCH_engine.json`` at the repo root (the CI perf artifact).  Three
+shapes:
 
 * a plain event chain — the dispatch/completion pattern that dominates
   every run — in both the handle-returning ``after`` form and the
@@ -28,7 +28,6 @@ import time
 import warnings
 from pathlib import Path
 
-import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 ARTIFACT = REPO_ROOT / "BENCH_engine.json"
@@ -47,18 +46,16 @@ POOL_TARGET = 1.5     # pool speedup at jobs=4, recorded-not-fatal
 #: only to debug the harness itself.
 POOL_QUALITY = os.environ.get("REPRO_BENCH_POOL_QUALITY", "standard")
 
-BACKENDS = ("heap", "wheel")
-
 
 def _noop():
     return None
 
 
-def _event_chain(num_events, queue="heap"):
+def _event_chain(num_events):
     """num_events self-rescheduling callbacks, no cancellations."""
     from repro.sim.engine import Simulator
 
-    sim = Simulator(queue=queue)
+    sim = Simulator()
     remaining = [num_events]
 
     def step():
@@ -71,11 +68,11 @@ def _event_chain(num_events, queue="heap"):
     return sim
 
 
-def _post_chain(num_events, queue="heap"):
+def _post_chain(num_events):
     """The same chain through ``post`` — no Event allocation, no handle."""
     from repro.sim.engine import Simulator
 
-    sim = Simulator(queue=queue)
+    sim = Simulator()
     remaining = [num_events]
 
     def step():
@@ -88,12 +85,12 @@ def _post_chain(num_events, queue="heap"):
     return sim
 
 
-def _cancellation_storm(num_events, queue="heap"):
+def _cancellation_storm(num_events):
     """Every fired event re-arms a decoy timer and cancels the previous
     one — the preemption-timer pattern that motivated compaction."""
     from repro.sim.engine import Simulator
 
-    sim = Simulator(queue=queue)
+    sim = Simulator()
     remaining = [num_events]
     decoy = [None]
 
@@ -127,30 +124,27 @@ def _timed_rate(fn, *args):
     return sim.events_run / max(time.perf_counter() - started, 1e-9)
 
 
-@pytest.mark.parametrize("queue", BACKENDS)
-def test_engine_event_chain(benchmark, queue):
+def test_engine_event_chain(benchmark):
     sim = benchmark.pedantic(
-        _event_chain, args=(CHAIN_EVENTS, queue), rounds=3, iterations=1
+        _event_chain, args=(CHAIN_EVENTS,), rounds=3, iterations=1
     )
     assert sim.events_run == CHAIN_EVENTS
     assert sim.pending == 0
     assert _events_per_sec(sim, benchmark) > MIN_EVENTS_PER_SEC
 
 
-@pytest.mark.parametrize("queue", BACKENDS)
-def test_engine_post_chain(benchmark, queue):
+def test_engine_post_chain(benchmark):
     sim = benchmark.pedantic(
-        _post_chain, args=(CHAIN_EVENTS, queue), rounds=3, iterations=1
+        _post_chain, args=(CHAIN_EVENTS,), rounds=3, iterations=1
     )
     assert sim.events_run == CHAIN_EVENTS
     assert sim.pending == 0
     assert _events_per_sec(sim, benchmark) > MIN_EVENTS_PER_SEC
 
 
-@pytest.mark.parametrize("queue", BACKENDS)
-def test_engine_cancellation_storm(benchmark, queue):
+def test_engine_cancellation_storm(benchmark):
     sim = benchmark.pedantic(
-        _cancellation_storm, args=(STORM_EVENTS, queue), rounds=3, iterations=1
+        _cancellation_storm, args=(STORM_EVENTS,), rounds=3, iterations=1
     )
     assert sim.events_run == STORM_EVENTS
     assert sim.events_cancelled == STORM_EVENTS - 1
@@ -219,14 +213,12 @@ def test_engine_artifact(benchmark):
     hard assertions are structural (the runs completed, the artifact is
     well-formed).
     """
-    rates = {}
-    for queue in BACKENDS:
-        rates["chain_{}".format(queue)] = _timed_rate(
-            _event_chain, CHAIN_EVENTS, queue
-        )
-        rates["post_{}".format(queue)] = _timed_rate(
-            _post_chain, CHAIN_EVENTS, queue
-        )
+    # Keys keep their historical "_heap" suffix so bench-diff lines them
+    # up with the committed artifacts.
+    rates = {
+        "chain_heap": _timed_rate(_event_chain, CHAIN_EVENTS),
+        "post_heap": _timed_rate(_post_chain, CHAIN_EVENTS),
+    }
 
     interp_seconds, interp_result = _kernel_executor_seconds("interp")
     compiled_seconds, compiled_result = _kernel_executor_seconds("compiled")

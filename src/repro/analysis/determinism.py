@@ -66,11 +66,11 @@ SIM_PACKAGES = (
     "repro.obs.session",
     "repro.obs.spans",
     # Only the job specs: the rest of repro.parallel (runner supervision,
-    # result cache, checkpoint journal) is orchestration that decides
-    # *whether* a job runs, never *what* it computes — its wall-clock
-    # reads and io happen strictly outside job execution, and the
-    # kill/resume differentials in tests/test_resilience.py enforce that
-    # supervised results stay bit-identical.
+    # the result cache that also makes sweeps resumable) is orchestration
+    # that decides *whether* a job runs, never *what* it computes — its
+    # wall-clock reads and io happen strictly outside job execution, and
+    # the kill/resume differentials in tests/test_resilience.py enforce
+    # that supervised results stay bit-identical.
     "repro.parallel.jobs",
     # The compiled IR fast-path: exec-generated closures run inside
     # simulations (profile_kernel), so the generator itself must be

@@ -29,21 +29,12 @@ def _add_parallel_args(parser):
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="result cache directory (default: $REPRO_CACHE_DIR or "
-             "~/.cache/repro)",
+             "~/.cache/repro); rerun an interrupted sweep with the same "
+             "directory to resume it",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
         help="always re-simulate; do not read or write the result cache",
-    )
-    parser.add_argument(
-        "--checkpoint", default=None, metavar="FILE",
-        help="journal completed jobs to FILE so an interrupted sweep can "
-             "be resumed with --resume",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="serve already-journaled jobs from --checkpoint instead of "
-             "re-simulating them",
     )
     parser.add_argument(
         "--job-timeout", type=float, default=None, metavar="SECONDS",
@@ -256,14 +247,8 @@ def _build_runner(args, stream=None):
     """A ParallelRunner from the shared --jobs / cache flags.  Tracing
     forces a serial, uncached runner: pooled or cached simulations never
     touch this process's trace session."""
-    from repro.parallel import ParallelRunner, ResultCache, SweepCheckpoint
+    from repro.parallel import ParallelRunner, ResultCache
 
-    if args.resume and not args.checkpoint:
-        print(
-            "concord-repro: error: --resume requires --checkpoint FILE",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
     if tracecmd.tracing_requested(args):
         if stream is not None and (args.jobs not in (None, 1) or
                                    not args.no_cache):
@@ -274,22 +259,9 @@ def _build_runner(args, stream=None):
             )
         return tracecmd.serial_runner()
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    checkpoint = None
-    if args.checkpoint:
-        try:
-            checkpoint = SweepCheckpoint(args.checkpoint, resume=args.resume)
-        except (ValueError, OSError) as exc:
-            print("concord-repro: error: {}".format(exc), file=sys.stderr)
-            raise SystemExit(2) from None
-        if args.resume and len(checkpoint) and stream is not None:
-            print(
-                "  [checkpoint: resuming; {} job(s) already journaled "
-                "in {}]".format(len(checkpoint), args.checkpoint),
-                file=stream,
-            )
     try:
         return ParallelRunner(
-            jobs=args.jobs, cache=cache, checkpoint=checkpoint,
+            jobs=args.jobs, cache=cache,
             job_timeout=args.job_timeout, max_retries=args.max_retries,
         )
     except ValueError as exc:  # e.g. REPRO_JOBS=garbage in the environment
@@ -313,13 +285,12 @@ def _presets():
     return presets
 
 
-def _run_compare(args, stream):
+def _run_compare(args, stream, runner):
     from repro.hardware import c6420
     from repro.metrics import format_table
     from repro.parallel import ServerJob
     from repro.workloads import workload_by_name
 
-    runner = _build_runner(args, stream)
     workload = workload_by_name(args.workload)
     machine = c6420(args.workers)
     load = (
@@ -360,20 +331,18 @@ def _run_compare(args, stream):
         title="{} at {:.0f} kRps, quantum {:g}us, {} workers".format(
             workload.name, load / 1e3, args.quantum_us, args.workers),
     ), file=stream)
-    if (runner.stats["jobs_run"] or runner.stats["cache_hits"]
-            or runner.stats.get("checkpoint_hits")):
+    if runner.stats["jobs_run"] or runner.stats["cache_hits"]:
         print("  " + runner.summary_line(), file=stream)
     return 0
 
 
-def _run_rack(args, stream):
+def _run_rack(args, stream, runner):
     from repro.cluster import NetworkFabric
     from repro.hardware import c6420
     from repro.metrics import format_table
     from repro.parallel import RackJob
     from repro.workloads import workload_by_name
 
-    runner = _build_runner(args, stream)
     workload = workload_by_name(args.workload)
     machine = c6420(args.workers)
     rack_capacity = args.servers * args.workers * 1e6 / workload.mean_us()
@@ -413,8 +382,7 @@ def _run_rack(args, stream):
                   args.system, args.servers, workload.name, load / 1e3,
                   args.load_frac, args.staleness_us),
     ), file=stream)
-    if (runner.stats["jobs_run"] or runner.stats["cache_hits"]
-            or runner.stats.get("checkpoint_hits")):
+    if runner.stats["jobs_run"] or runner.stats["cache_hits"]:
         print("  " + runner.summary_line(), file=stream)
     return 0
 
@@ -445,14 +413,13 @@ def _fault_plan_for(args, span_us):
     return FaultPlan(faults=(fault,), name=args.scenario)
 
 
-def _run_faults(args, stream):
+def _run_faults(args, stream, runner):
     from repro.faults import ResilienceConfig
     from repro.hardware import c6420
     from repro.metrics import format_table
     from repro.parallel import FaultJob
     from repro.workloads import workload_by_name
 
-    runner = _build_runner(args, stream)
     workload = workload_by_name(args.workload)
     machine = c6420(args.workers)
     rack_capacity = args.servers * args.workers * 1e6 / workload.mean_us()
@@ -504,8 +471,7 @@ def _run_faults(args, stream):
                   args.scenario, args.system, args.servers, args.policy,
                   workload.name, load / 1e3, args.load_frac),
     ), file=stream)
-    if (runner.stats["jobs_run"] or runner.stats["cache_hits"]
-            or runner.stats.get("checkpoint_hits")):
+    if runner.stats["jobs_run"] or runner.stats["cache_hits"]:
         print("  " + runner.summary_line(), file=stream)
     return 0
 
@@ -537,27 +503,40 @@ def _run_one(experiment_id, quality, seed, out_dir, stream, plot=False,
     return results
 
 
-def main(argv=None, stream=None):
-    from repro.parallel import SweepInterrupted
+#: Subcommands that simulate through a ParallelRunner.
+_SWEEP_COMMANDS = ("run", "compare", "rack", "faults")
 
+
+def main(argv=None, stream=None):
     stream = stream or sys.stdout
     args = _build_parser().parse_args(argv)
+    runner = None
+    if args.command in _SWEEP_COMMANDS:
+        runner = _build_runner(args, stream)
     try:
-        return _dispatch(args, stream)
-    except SweepInterrupted as exc:
-        # The runner already flushed the journal; tell the user how to
-        # pick the sweep back up without losing the completed jobs.
-        print(
-            "concord-repro: interrupted with {} completed job(s) "
-            "journaled; resume with --resume --checkpoint {}".format(
-                exc.completed, exc.path,
-            ),
-            file=sys.stderr,
-        )
+        return _dispatch(args, stream, runner)
+    except KeyboardInterrupt:
+        if runner is None:
+            raise
+        # Every job that settled is already in the cache (stored as it
+        # landed); the same command against the same cache resumes.
+        runner.close()
+        cache = runner.cache
+        if cache is None:
+            message = (
+                "no result cache was in use, so no completed job was kept"
+            )
+        else:
+            message = (
+                "{} completed job(s) are in the result cache at {}; rerun "
+                "the same command with the same cache directory to "
+                "resume".format(cache.hits + cache.stores, cache.cache_dir)
+            )
+        print("concord-repro: interrupted; " + message, file=sys.stderr)
         return 130
 
 
-def _dispatch(args, stream):
+def _dispatch(args, stream, runner):
     if args.command == "list":
         width = max(len(eid) for eid in EXPERIMENTS)
         for eid in sorted(EXPERIMENTS):
@@ -568,13 +547,13 @@ def _dispatch(args, stream):
         return 0
 
     if args.command == "compare":
-        return _run_compare(args, stream)
+        return _run_compare(args, stream, runner)
 
     if args.command == "rack":
-        return _run_rack(args, stream)
+        return _run_rack(args, stream, runner)
 
     if args.command == "faults":
-        return _run_faults(args, stream)
+        return _run_faults(args, stream, runner)
 
     if args.command == "bench-diff":
         return _run_bench_diff(args, stream)
@@ -584,7 +563,6 @@ def _dispatch(args, stream):
 
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-    runner = _build_runner(args, stream)
     with tracecmd.maybe_traced(args, stream):
         if args.experiment == "all":
             for eid in sorted(EXPERIMENTS):
@@ -601,8 +579,7 @@ def _dispatch(args, stream):
             ),
             file=stream,
         )
-    if (runner.stats["jobs_run"] or runner.stats["cache_hits"]
-            or runner.stats.get("checkpoint_hits")):
+    if runner.stats["jobs_run"] or runner.stats["cache_hits"]:
         print("  " + runner.summary_line(), file=stream)
     return 0
 

@@ -1,8 +1,7 @@
 """Parallel sweep execution: supervised process-pool fan-out of
-independent simulation jobs with a content-addressed result cache and a
-resumable checkpoint journal.
+independent simulation jobs with a content-addressed result cache.
 
-Four layers:
+Three layers:
 
 * :mod:`repro.parallel.jobs` — picklable job specs (:class:`SimJob`,
   :class:`ServerJob`, :class:`RackJob`, :class:`FaultJob`) whose
@@ -16,11 +15,9 @@ Four layers:
 * :mod:`repro.parallel.cache` — :class:`ResultCache`, keyed by a stable
   hash of (machine, config, workload, arrival process, seed, request
   count, code version), so re-running ``run all`` only re-simulates what
-  changed; corrupt entries self-heal into counted misses;
-* :mod:`repro.parallel.checkpoint` — :class:`SweepCheckpoint`, an
-  append-only CRC-verified journal of completed jobs, so an interrupted
-  sweep (:class:`SweepInterrupted`) resumes bit-identically from the
-  last completed job.
+  changed; corrupt entries self-heal into counted misses.  Each result is
+  stored atomically as its job settles, so an interrupted sweep resumes,
+  bit-identically, by rerunning it against the same cache directory.
 """
 
 from repro.parallel.cache import (
@@ -30,17 +27,12 @@ from repro.parallel.cache import (
     default_cache_dir,
     stable_describe,
 )
-from repro.parallel.checkpoint import (
-    SweepCheckpoint,
-    checkpoint_job_key,
-)
 from repro.parallel.jobs import (
     FaultJob, RackJob, ServerJob, SimJob, execute_job,
 )
 from repro.parallel.runner import (
     ParallelRunner,
     Quarantined,
-    SweepInterrupted,
     get_default_runner,
     resolve_jobs,
     set_default_runner,
@@ -55,7 +47,6 @@ __all__ = [
     "execute_job",
     "ParallelRunner",
     "Quarantined",
-    "SweepInterrupted",
     "resolve_jobs",
     "get_default_runner",
     "set_default_runner",
@@ -65,6 +56,4 @@ __all__ = [
     "stable_describe",
     "code_fingerprint",
     "default_cache_dir",
-    "SweepCheckpoint",
-    "checkpoint_job_key",
 ]

@@ -11,7 +11,10 @@ everything while editing one experiment's parameters re-simulates only the
 points whose parameters actually changed.
 
 Values are pickled whole; entries are written atomically (tmp + rename) so
-concurrent sweep processes can share one cache directory.
+concurrent sweep processes can share one cache directory, and a sweep
+killed mid-write leaves no torn entry behind.  The runner stores each
+result as its job settles, so rerunning an interrupted sweep against the
+same directory resumes it.
 """
 
 import enum
@@ -200,8 +203,11 @@ class ResultCache:
     Layout: ``<dir>/<key[:2]>/<key>.pkl``.  The store is *self-healing*:
     a truncated, corrupted, or otherwise unreadable entry is a counted
     miss (``corrupt``) whose poison file is deleted so it can never be
-    read — or crash a sweep — twice.  ``hits``/``misses``/``stores``
-    count this instance's traffic.
+    read — or crash a sweep — twice.  Writes are best-effort: a result
+    that cannot be pickled is skipped (counted under ``unpicklable`` and
+    warned about once), so the sweep still returns it; it just re-runs
+    next time.  ``hits``/``misses``/``stores`` count this instance's
+    traffic.
     """
 
     def __init__(self, cache_dir=None):
@@ -210,7 +216,9 @@ class ResultCache:
         self.misses = 0
         self.stores = 0
         self.corrupt = 0
+        self.unpicklable = 0
         self._warned_corrupt = False
+        self._warned_unpicklable = False
 
     def key_for(self, job):
         """The cache key for ``job``, or None when the job has no stable
@@ -270,7 +278,8 @@ class ResultCache:
         return True, value
 
     def put(self, key, value):
-        """Store ``value`` under ``key`` (atomic; best-effort)."""
+        """Store ``value`` under ``key`` (atomic; best-effort).  Returns
+        whether the entry was written; never raises ``Exception``."""
         path = self._path(key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -287,7 +296,23 @@ class ResultCache:
                 except OSError:
                     pass
                 raise
-        except (OSError, pickle.PicklingError):
+        except OSError:
+            return False
+        except Exception as exc:
+            # Only pickle.dump raises anything but OSError here: the value
+            # is unpicklable (a generator, a local function, ...), which
+            # surfaces as PicklingError, TypeError or AttributeError.
+            self.unpicklable += 1
+            if not self._warned_unpicklable:
+                self._warned_unpicklable = True
+                warnings.warn(
+                    "result cache skipped an unpicklable {} result ({}: "
+                    "{}); it will be re-simulated next run".format(
+                        type(value).__name__, type(exc).__name__, exc,
+                    ),
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
             return False
         self.stores += 1
         return True

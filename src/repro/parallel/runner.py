@@ -19,10 +19,9 @@ not a best-effort script:
 * A worker that crashes hard (``os._exit``, segfault) is detected via the
   broken-pool signal; the jobs it took down are retried in isolation and
   quarantined if they keep killing workers.
-* A :class:`~repro.parallel.checkpoint.SweepCheckpoint` journals every
-  completed job as it lands; SIGINT/SIGTERM during a checkpointed
-  ``map()`` flushes the journal and raises :class:`SweepInterrupted` with
-  a resume hint instead of losing uncached work.
+* With a :class:`~repro.parallel.cache.ResultCache`, every job is stored
+  the moment it settles, so an interrupted or killed sweep loses only the
+  jobs still in flight; rerunning it against the same cache resumes.
 
 Degradation is graceful, counted, and warned about (one
 :class:`RuntimeWarning` per runner, so a sweep that quietly lost its
@@ -41,8 +40,6 @@ without an explicit ``jobs=``; the CLI's ``--jobs`` overrides it.
 
 import os
 import pickle
-import signal
-import threading
 import time
 import warnings
 from contextlib import contextmanager
@@ -55,7 +52,6 @@ from repro.parallel.jobs import execute_job
 __all__ = [
     "ParallelRunner",
     "Quarantined",
-    "SweepInterrupted",
     "resolve_jobs",
     "get_default_runner",
     "set_default_runner",
@@ -64,8 +60,7 @@ __all__ = [
 
 _MISSING = object()
 
-#: Seconds between supervision sweeps of the in-flight future set (also
-#: the interrupt-flag latency).
+#: Seconds between supervision sweeps of the in-flight future set.
 _POLL_SECONDS = 0.05
 
 
@@ -118,21 +113,6 @@ class Quarantined:
     def describe(self):
         return "{} after {} attempt(s): {}".format(
             _clip(repr(self.job), 120), self.attempts, self.reason
-        )
-
-
-class SweepInterrupted(KeyboardInterrupt):
-    """SIGINT/SIGTERM during a checkpointed ``map()``: the journal was
-    flushed first, so ``completed`` jobs survive — resume by re-running
-    with the same checkpoint path."""
-
-    def __init__(self, path, completed):
-        self.path = path
-        self.completed = completed
-        super().__init__(
-            "sweep interrupted; {} completed job(s) journaled to {}".format(
-                completed, path
-            )
         )
 
 
@@ -207,7 +187,7 @@ def _pickle_culprit(job):
 
 class ParallelRunner:
     """Maps job specs to results, in order, with optional parallelism,
-    caching, checkpointing, and per-job supervision.
+    caching, and per-job supervision.
 
     Parameters
     ----------
@@ -216,17 +196,13 @@ class ParallelRunner:
         ``<= 0`` means one per core.  1 executes in-process.
     cache:
         Optional :class:`~repro.parallel.cache.ResultCache`.  Jobs whose
-        stable content hash is already stored are not re-simulated.
+        stable content hash is already stored are not re-simulated, and
+        each new result is stored as soon as its job settles.
     chunksize:
         Jobs per pool task.  Default: batch split into ~4 chunks per
         worker, so stragglers (high-load points take longest) rebalance.
         Ignored (forced to 1) when ``job_timeout`` is set — watchdog
         precision needs per-job tasks.
-    checkpoint:
-        Optional :class:`~repro.parallel.checkpoint.SweepCheckpoint`.
-        Completed jobs are journaled as they land and served back on
-        resume; SIGINT/SIGTERM during ``map()`` flushes the journal and
-        raises :class:`SweepInterrupted` instead of dying dirty.
     job_timeout:
         Watchdog seconds per job (pooled execution only — an in-process
         job cannot be preempted).  ``None`` disables the watchdog.
@@ -236,11 +212,10 @@ class ParallelRunner:
     """
 
     def __init__(self, jobs=None, cache=None, chunksize=None,
-                 checkpoint=None, job_timeout=None, max_retries=2):
+                 job_timeout=None, max_retries=2):
         self.jobs = resolve_jobs(jobs)
         self.cache = cache
         self.chunksize = chunksize
-        self.checkpoint = checkpoint
         if job_timeout is not None and job_timeout <= 0:
             raise ValueError(
                 "job_timeout must be positive seconds or None, got "
@@ -258,7 +233,6 @@ class ParallelRunner:
             "jobs_run": 0,
             "cache_hits": 0,
             "cache_misses": 0,
-            "checkpoint_hits": 0,
             "parallel_batches": 0,
             "serial_batches": 0,
             "fallbacks": 0,
@@ -282,11 +256,6 @@ class ParallelRunner:
         #: Wall seconds spent supervising parallel dispatch, versus the
         #: in-worker compute seconds — the footer's speedup estimate.
         self._parallel_wall = 0.0
-        #: Monotone count of jobs ever submitted to :meth:`map` — the
-        #: positional fallback identity for checkpoint keys.
-        self._job_counter = 0
-        #: Set by the signal handler installed around checkpointed maps.
-        self._interrupted = False
 
     # -- the public API -----------------------------------------------------
 
@@ -298,8 +267,6 @@ class ParallelRunner:
         jobs = list(jobs)
         results = [_MISSING] * len(jobs)
         keys = [None] * len(jobs)
-        positions = range(self._job_counter, self._job_counter + len(jobs))
-        self._job_counter += len(jobs)
         cache = self.cache
         if cache is not None:
             for i, job in enumerate(jobs):
@@ -312,40 +279,19 @@ class ParallelRunner:
             hits = sum(1 for r in results if r is not _MISSING)
             self.stats["cache_hits"] += hits
             self.telemetry.count("runner.cache_hits", hits)
-        checkpoint = self.checkpoint
-        ck_keys = [None] * len(jobs)
-        if checkpoint is not None:
-            from repro.parallel.checkpoint import checkpoint_job_key
-
-            ck_hits = 0
-            for i, job in enumerate(jobs):
-                if results[i] is not _MISSING:
-                    continue
-                ck_keys[i] = checkpoint_job_key(job, positions[i])
-                hit, value = checkpoint.get(ck_keys[i])
-                if hit:
-                    results[i] = value
-                    ck_hits += 1
-                    if cache is not None and keys[i] is not None:
-                        cache.put(keys[i], value)
-            self.stats["checkpoint_hits"] += ck_hits
-            self.telemetry.count("runner.checkpoint_hits", ck_hits)
         pending = [i for i, r in enumerate(results) if r is _MISSING]
         if pending:
             def deliver(j, value, seconds):
-                # Called the moment a job settles — journal and cache it
-                # immediately so nothing completed can be lost later.
+                # Called the moment a job settles — cache it immediately
+                # so an interrupt or a later failure cannot lose it.
                 i = pending[j]
                 self.telemetry.sample("runner.job_seconds", i, seconds)
                 if cache is not None and keys[i] is not None:
                     cache.put(keys[i], value)
-                if checkpoint is not None and ck_keys[i] is not None:
-                    checkpoint.record(ck_keys[i], value)
 
-            with self._supervised():
-                outputs = self._execute(
-                    [jobs[i] for i in pending], on_result=deliver
-                )
+            outputs = self._execute(
+                [jobs[i] for i in pending], on_result=deliver
+            )
             completed = 0
             for j, i in enumerate(pending):
                 value, _seconds = outputs[j]
@@ -360,51 +306,8 @@ class ParallelRunner:
         return results
 
     def run(self, job):
-        """Execute a single job (cache- and checkpoint-aware)."""
+        """Execute a single job (cache-aware)."""
         return self.map([job])[0]
-
-    # -- interrupt supervision ----------------------------------------------
-
-    @contextmanager
-    def _supervised(self):
-        """Install SIGINT/SIGTERM handlers around a checkpointed map so
-        an interrupt flushes the journal and stops between jobs instead
-        of tearing mid-write.  A second signal aborts immediately."""
-        if self.checkpoint is None or (
-            threading.current_thread() is not threading.main_thread()
-        ):
-            yield
-            return
-        self._interrupted = False
-        previous = {}
-
-        def handler(signum, frame):
-            if self._interrupted:
-                raise KeyboardInterrupt
-            self._interrupted = True
-
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                previous[sig] = signal.signal(sig, handler)
-            except (ValueError, OSError):  # non-main interpreter quirks
-                pass
-        try:
-            yield
-        finally:
-            for sig, prev in previous.items():
-                signal.signal(sig, prev)
-
-    def _check_interrupt(self):
-        if not self._interrupted:
-            return
-        checkpoint = self.checkpoint
-        self.close()
-        if checkpoint is not None:
-            checkpoint.flush()
-        raise SweepInterrupted(
-            str(checkpoint.path) if checkpoint is not None else None,
-            len(checkpoint) if checkpoint is not None else 0,
-        )
 
     # -- execution strategies ----------------------------------------------
 
@@ -436,7 +339,6 @@ class ParallelRunner:
         if remainder:
             self.stats["serial_batches"] += 1
             for i in remainder:
-                self._check_interrupt()
                 value, seconds = _run_timed(batch[i])
                 settle(i, value, seconds)
         return outputs
@@ -546,7 +448,7 @@ class ParallelRunner:
             if broken or submit_error is not None:
                 self.close()
             # Errors raised *by a job* are deterministic: re-raise after
-            # the whole round settled (and was checkpointed).  Raising
+            # the whole round settled (and was cached).  Raising
             # the lowest job index keeps *which* error surfaces
             # independent of future-completion order.
             if error is None and blamed["errors"]:
@@ -601,7 +503,6 @@ class ParallelRunner:
         deadlines = {}
         not_done = set(futures)
         while not_done:
-            self._check_interrupt()
             if self.job_timeout is not None and not pool_dead:
                 now = time.monotonic()  # repro-san: ignore[DET001] -- watchdog arming for supervision only; never enters results
                 for fut in not_done:  # repro-san: ignore[DET003] -- supervision-only scan: arming order cannot reach results
@@ -730,7 +631,7 @@ class ParallelRunner:
 
     def summary_line(self):
         """One-line telemetry footer for sweep CLIs: jobs run, cache
-        hit/miss split, checkpoint traffic, total and slowest per-job
+        hit/miss split, total and slowest per-job
         wall time, retry/quarantine counts (with culprits named), and —
         when a pool ran — parallel wall vs estimated serial cost, so a
         sweep that parallelized into a *slowdown* can never report
@@ -751,10 +652,6 @@ class ParallelRunner:
             cache_part,
             "jobs={}".format(self.jobs),
         ]
-        if self.checkpoint is not None:
-            parts.append("checkpoint {} hits, {} appends".format(
-                self.stats["checkpoint_hits"], self.checkpoint.appends
-            ))
         if self.stats["retries"]:
             parts.append("{} retries".format(self.stats["retries"]))
         speedup = self.parallel_speedup()

@@ -1,15 +1,16 @@
 """Subprocess driver for kill-then-resume differential tests.
 
-``tests/test_resilience.py`` (and the ``harness-chaos`` CI job) launch
-this script as a real OS process, kill it mid-sweep (SIGINT via
-``--interrupt-after-appends``, or SIGKILL from outside), and re-launch it
-with ``--resume``.  The resumed run must produce a digest bit-identical
-to an uninterrupted run of the same sweep — that is the whole point of
-the checkpoint layer, and it can only be demonstrated across genuine
-process deaths, not monkeypatches.
+``tests/test_resilience.py`` launches this script as a real OS process,
+kills it mid-sweep (SIGINT via ``--interrupt-after-stores``, or SIGKILL
+from outside), and re-launches it against the same ``--cache-dir``.  The
+resumed run must produce a digest bit-identical to an uninterrupted run
+of the same sweep — the result cache stores each job as it settles, and
+that can only be demonstrated across genuine process deaths, not
+monkeypatches.
 
 Exit codes: 0 on a completed sweep (digest written to ``--digest-out``),
-130 when the sweep was interrupted (checkpoint flushed, resume possible).
+130 when the sweep was interrupted (completed jobs cached, resume
+possible).
 """
 
 import argparse
@@ -31,9 +32,8 @@ from repro.hardware import c6420  # noqa: E402
 from repro.parallel import (  # noqa: E402
     FaultJob,
     ParallelRunner,
+    ResultCache,
     SimJob,
-    SweepCheckpoint,
-    SweepInterrupted,
     stable_describe,
 )
 from repro.workloads.named import bimodal_50_1_50_100  # noqa: E402
@@ -97,8 +97,7 @@ def digest_results(results):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--checkpoint", required=True)
-    parser.add_argument("--resume", action="store_true")
+    parser.add_argument("--cache-dir", required=True)
     parser.add_argument("--mode", choices=("sim", "faults"), default="sim")
     parser.add_argument("--digest-out", required=True)
     parser.add_argument("--requests", type=int, default=1200)
@@ -106,9 +105,9 @@ def main(argv=None):
     parser.add_argument("--job-timeout", type=float, default=None)
     parser.add_argument("--max-retries", type=int, default=2)
     parser.add_argument(
-        "--interrupt-after-appends", type=int, default=None,
-        help="send SIGINT to this process once the checkpoint has "
-             "journaled this many new results",
+        "--interrupt-after-stores", type=int, default=None,
+        help="send SIGINT to this process once the result cache has "
+             "stored this many new results",
     )
     parser.add_argument("--crash-at", type=int, default=None,
                         help="replace job N with a CrashJob")
@@ -131,15 +130,15 @@ def main(argv=None):
             inner=jobs[args.crash_at], marker=args.crash_marker
         )
 
-    checkpoint = SweepCheckpoint(args.checkpoint, resume=args.resume)
+    cache = ResultCache(args.cache_dir)
     runner = ParallelRunner(
-        jobs=args.jobs, cache=None, checkpoint=checkpoint,
+        jobs=args.jobs, cache=cache,
         job_timeout=args.job_timeout, max_retries=args.max_retries,
     )
 
-    if args.interrupt_after_appends is not None:
+    if args.interrupt_after_stores is not None:
         def fire_when_ready():
-            while checkpoint.appends < args.interrupt_after_appends:
+            while cache.stores < args.interrupt_after_stores:
                 time.sleep(0.002)
             os.kill(os.getpid(), signal.SIGINT)
 
@@ -153,10 +152,8 @@ def main(argv=None):
                 results = runner.map(jobs)
         else:
             results = runner.map(jobs)
-    except SweepInterrupted as exc:
-        print("INTERRUPTED appends={} completed={}".format(
-            checkpoint.appends, exc.completed))
-        checkpoint.close()
+    except KeyboardInterrupt:
+        print("INTERRUPTED stores={}".format(cache.stores))
         return 130
     finally:
         runner.close()
@@ -165,13 +162,12 @@ def main(argv=None):
     Path(args.digest_out).write_text(json.dumps({
         "digest": digest,
         "results": len(results),
-        "checkpoint_hits": runner.stats["checkpoint_hits"],
+        "cache_hits": runner.stats["cache_hits"],
         "jobs_run": runner.stats["jobs_run"],
         "retries": runner.stats["retries"],
         "quarantined": runner.stats["quarantined"],
         "footer": runner.summary_line(),
     }))
-    checkpoint.close()
     print("OK digest={}".format(digest))
     return 0
 

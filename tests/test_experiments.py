@@ -1,6 +1,7 @@
 """Tests for the experiment harness: registry, cheap experiments, CLI."""
 
 import io
+from dataclasses import dataclass
 
 import pytest
 
@@ -16,6 +17,14 @@ from repro.experiments.registry import (
     experiment_by_id,
     run_experiment,
 )
+
+
+@dataclass(frozen=True)
+class EchoJob:
+    token: int
+
+    def run(self):
+        return self.token
 
 
 class TestRegistry:
@@ -133,6 +142,30 @@ class TestCli:
     def test_run_unknown_experiment_raises(self):
         with pytest.raises(KeyError):
             cli_main(["run", "fig99"], stream=io.StringIO())
+
+    def test_interrupt_exits_130_and_points_at_the_cache(
+            self, tmp_path, monkeypatch, capsys):
+        """Ctrl-C mid-sweep: the jobs that settled are already cached, the
+        exit code is 130, and stderr says how to resume."""
+        from repro.experiments import cli
+
+        def interrupted(experiment_id, quality, seed, runner):
+            runner.map([EchoJob(1), EchoJob(2)])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_experiment", interrupted)
+        argv = ["run", "fig2", "--quality", "smoke"]
+        code = cli_main(argv + ["--cache-dir", str(tmp_path)],
+                        stream=io.StringIO())
+        assert code == 130
+        err = capsys.readouterr().err
+        assert "2 completed job(s)" in err and str(tmp_path) in err
+        assert "same cache directory to resume" in err
+        assert len(list(tmp_path.rglob("*.pkl"))) == 2
+
+        code = cli_main(argv + ["--no-cache"], stream=io.StringIO())
+        assert code == 130
+        assert "no completed job was kept" in capsys.readouterr().err
 
 
 class TestCompareCommand:

@@ -135,28 +135,162 @@ def test_zero_delay_event_runs_after_current_callback():
     assert order == ["outer", "inner"]
 
 
-def test_trace_hook_sees_each_event_but_is_deprecated():
-    seen = []
-    with pytest.warns(DeprecationWarning, match="probe bus"):
-        sim = Simulator(trace=lambda t, name: seen.append((t, name)))
-    sim.at(4, lambda: None, name="x")
-    sim.at(6, lambda: None, name="y")
-    sim.run()
-    assert seen == [(4, "x"), (6, "y")]
-
-
-def test_attach_probes_composes_with_legacy_trace():
+def test_attach_probes_sees_each_event():
     from repro.obs import ProbeBus
 
-    seen = []
-    with pytest.warns(DeprecationWarning):
-        sim = Simulator(trace=lambda t, name: seen.append((t, name)))
+    sim = Simulator()
     bus = ProbeBus("engine")
-    sim.attach_probes(bus)
-    sim.at(2, lambda: None, name="x")
+    assert sim.attach_probes(bus) is sim
+    sim.at(4, lambda: None, name="x")
+    sim.post(6, lambda: None, name="y")
     sim.run()
-    assert seen == [(2, "x")]
-    assert [(e.t, e.data["name"]) for e in bus.events] == [(2, "x")]
+    assert [(e.t, e.data["name"]) for e in bus.events] == [(4, "x"), (6, "y")]
+
+
+def test_zero_delay_self_reschedule_runs_after_same_time_peers():
+    """An event rescheduling itself at delay 0 runs FIFO after any other
+    same-time events, and the run terminates when it stops rechaining."""
+    sim = Simulator()
+    order = []
+
+    def chain(n):
+        order.append((sim.now, n))
+        if n < 5:
+            sim.after(0, lambda: chain(n + 1))
+
+    sim.at(10, lambda: chain(0))
+    sim.at(10, lambda: order.append((sim.now, "peer")))
+    sim.run()
+    assert order == [(10, 0), (10, "peer")] + [(10, k) for k in range(1, 6)]
+    assert sim.now == 10
+    assert sim.pending == 0
+
+
+def test_post_fires_without_handle():
+    sim = Simulator()
+    seen = []
+    assert sim.post(5, lambda: seen.append(sim.now)) is None
+    assert sim.post_at(5, lambda: seen.append(sim.now * 10)) is None
+    sim.post(0, lambda: seen.append(0))
+    sim.run()
+    assert seen == [0, 5, 50]
+    assert sim.events_run == 3
+
+
+def test_post_and_after_share_fifo_order():
+    sim = Simulator()
+    order = []
+    sim.after(5, lambda: order.append("a"))
+    sim.post(5, lambda: order.append("b"))
+    sim.after(5, lambda: order.append("c"))
+    sim.post_at(5, lambda: order.append("d"))
+    sim.run()
+    assert order == ["a", "b", "c", "d"]
+
+
+def test_far_future_timers_fire_in_time_order():
+    sim = Simulator()
+    seen = []
+    delays = [
+        0, 1, 255, 256, 257, 65_535, 65_536, 65_537,
+        2**24 - 1, 2**24, 2**24 + 1, 2**32 - 1, 2**32, 2**32 + 1,
+    ]
+    for d in reversed(delays):
+        sim.after(d, lambda d=d: seen.append((sim.now, d)))
+    sim.run()
+    assert seen == [(d, d) for d in delays]
+    assert sim.pending == 0 and sim.heap_size == 0
+
+
+def test_cancelled_far_timer_never_fires():
+    sim = Simulator()
+    fired = []
+    doomed = sim.after(2**32 + 7, lambda: fired.append("doomed"))
+    sim.after(2**32 + 8, lambda: fired.append("ok"))
+    doomed.cancel()
+    sim.run()
+    assert fired == ["ok"]
+    assert sim.pending == 0 and sim.heap_size == 0
+    assert sim.dead_in_heap == 0  # the cancelled entry was popped and skipped
+
+
+def test_cancel_then_reschedule_same_time_fires_once():
+    """Cancelling a handle and rescheduling its callback at the same time
+    fires exactly once, and the counters account for the dead entry."""
+    sim = Simulator()
+    fired = []
+    first = sim.at(50, lambda: fired.append("first"))
+    first.cancel()
+    first.cancel()  # idempotent; counted once
+    again = sim.at(50, lambda: fired.append("again"))
+    sim.run()
+    assert fired == ["again"]
+    assert not again.cancelled
+    assert sim.events_cancelled == 1
+    assert sim.events_run == 1
+    assert sim.dead_in_heap == 0
+
+
+def test_bounded_run_then_late_insert():
+    """run(until=...) advances now to the bound; later inserts between the
+    bound and the next queued event still fire, in order."""
+    sim = Simulator()
+    seen = []
+    sim.at(1000, lambda: seen.append("far"))
+    assert sim.run(until=500) == 0
+    assert sim.now == 500
+    sim.at(600, lambda: seen.append("mid"))
+    sim.post_at(600, lambda: seen.append("mid2"))
+    sim.run()
+    assert seen == ["mid", "mid2", "far"]
+
+
+def test_run_until_with_max_events_stops_at_whichever_comes_first():
+    sim = Simulator()
+    seen = []
+    for t in range(1, 11):
+        sim.at(10 * t, lambda t=t: seen.append(t))
+    assert sim.run(until=55, max_events=3) == 3
+    assert seen == [1, 2, 3] and sim.now == 30
+    assert sim.run(until=55, max_events=10) == 2
+    assert seen == [1, 2, 3, 4, 5] and sim.now == 55
+    assert sim.pending == 5
+
+
+def test_step_and_max_events():
+    sim = Simulator()
+    seen = []
+    for i in range(5):
+        sim.at(10 * (i + 1), lambda i=i: seen.append(i))
+    assert sim.step() is True
+    assert seen == [0]
+    assert sim.run(max_events=2) == 2
+    assert seen == [0, 1, 2]
+    assert sim.run() == 2
+    assert sim.step() is False
+
+
+def test_peek_time_is_none_once_drained():
+    sim = Simulator()
+    late = sim.at(2**20, lambda: None)
+    sim.run()
+    late.cancel()
+    assert sim.peek_time() is None
+
+
+def test_reentrant_run_raises():
+    sim = Simulator()
+    errors = []
+
+    def reenter():
+        try:
+            sim.run()
+        except SimulationError:
+            errors.append(True)
+
+    sim.at(1, reenter)
+    sim.run()
+    assert errors == [True]
 
 
 def test_events_run_counter():
