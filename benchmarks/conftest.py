@@ -6,9 +6,12 @@ suite stays interactive; use the ``concord-repro`` CLI with
 ``--quality full`` for the numbers recorded in EXPERIMENTS.md.
 """
 
+import time
+
 import pytest
 
 from repro.experiments.registry import run_experiment
+from repro.sim.engine import Simulator
 
 
 @pytest.fixture(scope="session")
@@ -41,3 +44,25 @@ def assert_summary(results, key_substring):
             key_substring, [list(r.summary) for r in results]
         )
     )
+
+
+def engine_events_per_sec(num_events=100_000, repeats=3):
+    """Best-of-``repeats`` throughput of the engine drain loop on a chain
+    of no-op events: a microbenchmark of the event queue alone, shared by
+    the obs, faults and parallel benchmarks so their numbers compare."""
+    best = 0.0
+    for _ in range(repeats):
+        sim = Simulator()
+        remaining = [num_events]
+
+        def step():
+            remaining[0] -= 1
+            if remaining[0] > 0:
+                sim.after(10, step)
+
+        sim.at(0, step)
+        started = time.perf_counter()
+        sim.run()
+        elapsed = max(time.perf_counter() - started, 1e-9)
+        best = max(best, num_events / elapsed)
+    return best

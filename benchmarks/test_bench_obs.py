@@ -23,39 +23,18 @@ import os
 import time
 from pathlib import Path
 
+from conftest import engine_events_per_sec
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 ARTIFACT = REPO_ROOT / "BENCH_obs.json"
 BASELINE = REPO_ROOT / "BENCH_parallel.json"
 QUALITY = os.environ.get("REPRO_BENCH_QUALITY", "smoke")
-NUM_EVENTS = 100_000
 NUM_REQUESTS = 4_000 if QUALITY == "smoke" else 20_000
 
 #: Loose ceiling on (baseline engine events/sec) / (events/sec now): the
 #: target is <2% added cost, but shared runners are noisy, so the gate
 #: only trips on a gross regression and the exact ratio is recorded.
 MAX_SLOWDOWN_VS_BASELINE = 1.10
-
-
-def _engine_events_per_sec(num_events=NUM_EVENTS, repeats=3):
-    """Best-of-N drain-loop throughput (same shape as the parallel bench)."""
-    from repro.sim.engine import Simulator
-
-    best = 0.0
-    for _ in range(repeats):
-        sim = Simulator()
-        remaining = [num_events]
-
-        def step():
-            remaining[0] -= 1
-            if remaining[0] > 0:
-                sim.after(10, step)
-
-        sim.at(0, step)
-        started = time.perf_counter()
-        sim.run()
-        elapsed = max(time.perf_counter() - started, 1e-9)
-        best = max(best, num_events / elapsed)
-    return best
 
 
 def _server_run_seconds(trace_config=None):
@@ -91,7 +70,7 @@ def test_disabled_probes_do_not_slow_the_hot_path(benchmark):
     from repro.obs import TraceConfig
 
     events_per_sec = benchmark.pedantic(
-        _engine_events_per_sec, rounds=1, iterations=1
+        engine_events_per_sec, rounds=1, iterations=1
     )
 
     baseline_events_per_sec = None

@@ -18,6 +18,8 @@ import time
 import warnings
 from pathlib import Path
 
+from conftest import engine_events_per_sec
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 ARTIFACT = REPO_ROOT / "BENCH_parallel.json"
 QUALITY = os.environ.get("REPRO_BENCH_QUALITY", "smoke")
@@ -44,23 +46,6 @@ def _fig6_sweep(runner, scale):
         runner=runner,
     )
     return {name: list(sweep.points) for name, sweep in sweeps.items()}
-
-
-def _engine_events_per_sec(num_events=100_000):
-    from repro.sim.engine import Simulator
-
-    sim = Simulator()
-    remaining = [num_events]
-
-    def step():
-        remaining[0] -= 1
-        if remaining[0] > 0:
-            sim.after(10, step)
-
-    sim.at(0, step)
-    started = time.perf_counter()
-    sim.run()
-    return num_events / max(time.perf_counter() - started, 1e-9)
 
 
 def test_parallel_sweep_and_cache(benchmark, tmp_path):
@@ -100,7 +85,7 @@ def test_parallel_sweep_and_cache(benchmark, tmp_path):
 
     speedup = serial_seconds / max(parallel_seconds, 1e-9)
     warm_over_cold = warm_seconds / max(parallel_seconds, 1e-9)
-    events_per_sec = _engine_events_per_sec()
+    events_per_sec = engine_events_per_sec(repeats=1)
     artifact = {
         "schema": 1,
         "quality": QUALITY,

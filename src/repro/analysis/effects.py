@@ -685,6 +685,13 @@ class _CallCollector(ast.NodeVisitor):
 
     def visit_Call(self, node):
         self._record(node)
+        if (
+            node.args
+            and dotted_name(node.func, self.ctx.imports) == "functools.partial"
+        ):
+            # ``partial(f, ...)`` is a deferred call of ``f`` (event-loop
+            # callbacks): keep the edge exactly as ``lambda: f(...)`` would.
+            self._record(ast.Call(func=node.args[0], args=[], keywords=[]))
         self.generic_visit(node)
 
     def visit_Name(self, node):

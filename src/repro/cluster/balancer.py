@@ -9,6 +9,8 @@ travel back across one hop; in counter-telemetry mode their landing is what
 decrements the balancer's queue view.
 """
 
+from functools import partial
+
 from repro.core.request import Request
 from repro.cluster.network import TelemetryBoard
 
@@ -161,9 +163,7 @@ class LoadBalancer:
             probes.request_routed(now, request, index)
         server = self.servers[index]
         delay = self._hop_delay()
-        self.sim.post(
-            delay, lambda: server.deliver(request), "net-deliver"
-        )
+        self.sim.post(delay, partial(server.deliver, request), "net-deliver")
         return index
 
     def reroute(self, request, exclude=()):
@@ -183,7 +183,7 @@ class LoadBalancer:
             delay = self.fabric.hop_cycles(self.clock, self.rng_net)
             rid = request.rid
             self.sim.post(
-                delay, lambda: self._reply_landed(index, rid), "net-reply"
+                delay, partial(self._reply_landed, index, rid), "net-reply"
             )
 
         return on_complete

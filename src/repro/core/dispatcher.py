@@ -15,6 +15,7 @@ special-casing.
 
 import math
 from collections import deque
+from functools import partial
 
 from repro import constants
 
@@ -36,7 +37,7 @@ class Dispatcher:
         )
         self._in_action = False
         #: Bumped by the fault injector when this server crashes; the
-        #: pending action-finish event captures the epoch it was scheduled
+        #: pending action-finish event carries the epoch it was scheduled
         #: under and goes stale on mismatch (same trick as worker epochs).
         self.crash_epoch = 0
         #: The request riding the current micro-action (rx/requeue/push),
@@ -82,7 +83,7 @@ class Dispatcher:
             delay = self.server.poll_discovery_delay()
             if delay > 0:
                 self.sim.post(
-                    delay, lambda: self._register_ready(worker), "flag-poll"
+                    delay, partial(self._register_ready, worker), "flag-poll"
                 )
                 return
             self.ready_workers.append(worker)
@@ -105,25 +106,28 @@ class Dispatcher:
             return
         self._next()
 
-    def _run_action(self, cost, on_done, name):
+    def _run_action(self, cost, on_done, arg, name):
+        """Occupy the dispatcher for ``cost`` cycles, then run
+        ``on_done(arg)``.  The finish event carries the crash epoch it was
+        posted under, so a crash (even one already recovered from) turns it
+        stale."""
         self._in_action = True
         self.busy_cycles += cost
         self.actions_run += 1
         probes = self.server.probes
         if probes is not None:
             probes.dispatcher_action(self.sim.now, name, cost)
+        self.sim.post(
+            cost, partial(self._finish, self.crash_epoch, on_done, arg), name
+        )
 
-        epoch = self.crash_epoch
-
-        def finish():
-            if self.crash_epoch != epoch:
-                return  # the server crashed mid-action; the sweep took over
-            self._in_action = False
-            self._action_request = None
-            on_done()
-            self._next()
-
-        self.sim.post(cost, finish, name)
+    def _finish(self, epoch, on_done, arg):
+        if self.crash_epoch != epoch:
+            return  # the server crashed mid-action; the sweep took over
+        self._in_action = False
+        self._action_request = None
+        on_done(arg)
+        self._next()
 
     def _next(self):
         if self._in_action or self._steal is not None:
@@ -137,52 +141,41 @@ class Dispatcher:
         # finished or yielded; the dispatcher sees that in the shared state
         # before paying for a signal).
         while self.preempts:
-            worker, epoch = self.preempts.popleft()
+            signal = self.preempts.popleft()
+            worker, epoch = signal
             if worker.epoch != epoch or worker.current is None:
                 self.stale_signals_skipped += 1
                 continue
             self.signals_sent += 1
-            self._run_action(
-                costs.signal,
-                lambda w=worker, e=epoch: self._deliver_signal(w, e),
-                "d-signal",
-            )
+            self._run_action(costs.signal, self._deliver_signal, signal,
+                             "d-signal")
             return
 
         # 2. Preempted contexts returning to the central queue.
         if self.requeues:
             request = self.requeues.popleft()
             self._action_request = request
-            self._run_action(
-                costs.requeue,
-                lambda r=request: self._push_preempted(r),
-                "d-requeue",
-            )
+            self._run_action(costs.requeue, self._push_preempted, request,
+                             "d-requeue")
             return
 
         # 3. New packets.
         if self.rx:
             request = self.rx.popleft()
             self._action_request = request
-            self._run_action(
-                costs.rx,
-                lambda r=request: self._push_new(r),
-                "d-rx",
-            )
+            self._run_action(costs.rx, self._push_new, request, "d-rx")
             return
 
         # 4. Dispatch to a worker.
-        if len(self.server.policy):
-            target = self._pick_worker(self.server.policy.peek())
+        policy = self.server.policy
+        if len(policy):
+            target = self._pick_worker(policy.peek())
             if target is not None:
-                request = self.server.policy.pop()
-                cost = costs.push + costs.jbsq_scan
+                request = policy.pop()
                 self._action_request = request
-                self._run_action(
-                    cost,
-                    lambda r=request, w=target: self._complete_dispatch(r, w),
-                    "d-push",
-                )
+                self._run_action(costs.push + costs.jbsq_scan,
+                                 self._complete_dispatch, (request, target),
+                                 "d-push")
                 return
 
         # 5. Work conservation (Concord only).
@@ -208,15 +201,19 @@ class Dispatcher:
             and request.last_worker is not None
         ):
             previous = self.server.workers[request.last_worker]
-            if previous.outstanding < depth:
+            if previous.owned < depth:
                 return previous
+        # Least-occupied worker with a free slot, lowest index on ties; an
+        # empty worker cannot be beaten, so the scan stops at the first.
         best = None
-        best_outstanding = depth
+        best_owned = depth
         for worker in self.server.workers:
-            outstanding = worker.outstanding
-            if outstanding < best_outstanding:
+            owned = worker.owned
+            if owned < best_owned:
+                if owned == 0:
+                    return worker
                 best = worker
-                best_outstanding = outstanding
+                best_owned = owned
         return best
 
     def _push_new(self, request):
@@ -231,23 +228,25 @@ class Dispatcher:
         if probes is not None:
             probes.request_enqueued(self.sim.now, request, requeued=True)
 
-    def _complete_dispatch(self, request, worker):
+    def _complete_dispatch(self, push):
+        request, worker = push
         probes = self.server.probes
         if probes is not None:
             probes.request_dispatched(self.sim.now, request, worker.wid)
         ready_at = self.sim.now + self.server.costs.sq_receive
         worker.enqueue(request, ready_at)
 
-    def _deliver_signal(self, worker, epoch):
+    def _deliver_signal(self, signal):
         """The cache-line write / IPI just completed; the worker reacts after
         the mechanism's notice latency plus any safety deferral."""
+        worker, epoch = signal
         mech = self.server.mechanism
         delay = mech.notice_delay_cycles(self.server.rng_notice)
         if worker.current is not None:
             elapsed = max(0, self.sim.now - (worker.run_start or self.sim.now))
             delay += self.server.defer_cycles(worker.current.kind, elapsed)
         self.sim.post(
-            int(delay), lambda: worker.on_preempt_signal(epoch), "notice"
+            int(delay), partial(worker.on_preempt_signal, epoch), "notice"
         )
 
     # -- work conservation (section 3.3) --------------------------------------------------
@@ -273,9 +272,7 @@ class Dispatcher:
         slice_len = min(need, quantum)
         completes = slice_len >= need
         end_event = self.sim.at(
-            exec_start + slice_len,
-            lambda: self._finish_slice(),
-            "d-steal-end",
+            exec_start + slice_len, self._finish_slice, "d-steal-end"
         )
         self._steal = {
             "request": request,

@@ -13,6 +13,8 @@ source machinery entirely and push requests in with :meth:`Server.deliver`,
 sharing one :class:`~repro.sim.engine.Simulator` across many servers.
 """
 
+from functools import partial
+
 from repro import constants
 from repro.core.dispatcher import Dispatcher
 from repro.core.policies import make_policy
@@ -432,8 +434,8 @@ class Server:
             except StopIteration:
                 return
             cycle = self.clock.us_to_cycles(t_us)
-            self.sim.post_at(max(cycle, self.sim.now), lambda: fire(request),
-                        "arrival")
+            self.sim.post_at(max(cycle, self.sim.now), partial(fire, request),
+                             "arrival")
 
         schedule_next()
         return self._drain(expected, until_us, max_events)

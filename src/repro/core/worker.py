@@ -17,6 +17,7 @@ each preemption pays the mechanism's notification disruption (cnotif).
 
 import math
 from collections import deque
+from functools import partial
 
 __all__ = ["Worker"]
 
@@ -45,28 +46,25 @@ class Worker:
         self.wasted_signals = 0
         self.requests_completed = 0
         self._switching_until = None
+        #: Requests owned by this worker: queued locally, in service, or
+        #: mid-yield -- ``len(local)`` plus one while ``current`` or
+        #: ``_switching_until`` is set.  Kept incrementally (+1 in
+        #: :meth:`enqueue`, -1 when a request completes or its yield ends,
+        #: 0 on :meth:`crash_reset`) so the dispatcher's JBSQ scan reads a
+        #: plain int instead of re-deriving it per worker per dispatch.
+        self.owned = 0
 
     # -- queue state ------------------------------------------------------------
 
     @property
     def outstanding(self):
-        """Requests owned by this worker: queued locally plus in service.
+        """Requests owned by this worker (read-only view of :attr:`owned`).
         JBSQ(k) bounds this at k (JBSQ(1) == single queue, section 3.2)."""
-        n = len(self.local)
-        if self.current is not None or self._switching_until is not None:
-            n += 1
-        return n
-
-    def has_slot(self, depth):
-        return self.outstanding < depth
+        return self.owned
 
     @property
     def is_idle(self):
-        return (
-            self.current is None
-            and not self.local
-            and self._switching_until is None
-        )
+        return self.owned == 0
 
     # -- dispatch entry points ----------------------------------------------------
 
@@ -78,6 +76,7 @@ class Worker:
         own receive miss).
         """
         self.local.append(request)
+        self.owned += 1
         if self.current is None and self._switching_until is None:
             self._start_next(max(ready_at, self.sim.now))
 
@@ -124,7 +123,9 @@ class Worker:
 
         duration = int(math.ceil(request.remaining_cycles * self.server.worker_rate))
         completion_at = run_start + duration
-        self.sim.post_at(completion_at, lambda: self._on_complete(epoch), "w-complete")
+        self.sim.post_at(
+            completion_at, partial(self._on_complete, epoch), "w-complete"
+        )
 
         quantum = self.server.quantum_cycles
         if (
@@ -137,7 +138,7 @@ class Worker:
             if mech.needs_dispatcher_signal:
                 self.sim.post_at(
                     expiry,
-                    lambda: self.server.dispatcher.enqueue_preempt(self, epoch),
+                    partial(self.server.dispatcher.enqueue_preempt, self, epoch),
                     "quantum-expiry",
                 )
             else:
@@ -149,7 +150,7 @@ class Worker:
                 )
                 self.sim.post_at(
                     expiry + int(delay),
-                    lambda: self.on_preempt_signal(epoch),
+                    partial(self.on_preempt_signal, epoch),
                     "self-preempt",
                 )
 
@@ -166,6 +167,7 @@ class Worker:
         self.current = None
         self.run_start = None
         self._switching_until = None
+        self.owned -= 1
         self.epoch += 1
         self.server.record_completion(request)
         self._after_request(now)
@@ -191,7 +193,7 @@ class Worker:
             retry_at = faults.preempt_retry_at(self.sim.now, self.wid)
             if retry_at is not None:
                 self.sim.post_at(
-                    retry_at, lambda: self.on_preempt_signal(epoch),
+                    retry_at, partial(self.on_preempt_signal, epoch),
                     "fault-reprobe",
                 )
                 return
@@ -216,9 +218,17 @@ class Worker:
         self.epoch += 1
         self._switching_until = yield_done
         self.server.dispatcher.enqueue_requeue(request)
-        self.sim.post_at(yield_done, lambda: self._after_yield(), "w-yielded")
+        self.sim.post_at(yield_done, self._after_yield, "w-yielded")
 
     def _after_yield(self):
+        # A yield timer can outlive a crash sweep.  If the recovered worker
+        # is already running its next request, starting another on top of
+        # it would drop that one; if the sweep left it cold, the yield no
+        # longer holds a slot.
+        if self.current is not None:
+            return
+        if self._switching_until is not None:
+            self.owned -= 1
         self._switching_until = None
         self._after_request(self.sim.now)
 
@@ -233,6 +243,29 @@ class Worker:
             if probes is not None:
                 probes.worker_went_idle(now, self.wid)
             self.server.dispatcher.worker_became_idle(self)
+
+    # -- faults -----------------------------------------------------------------
+
+    def crash_reset(self, now):
+        """The server crashed: drop every owned request and go cold-idle.
+
+        Returns the requests lost (in service first, then the local queue).
+        Bumping the epoch turns every pending completion/preemption event
+        of this worker stale.
+        """
+        lost = []
+        if self.current is not None:
+            lost.append(self.current)
+            self.current = None
+        lost.extend(self.local)
+        self.local.clear()
+        self.run_start = None
+        self._switching_until = None
+        self.owned = 0
+        self.epoch += 1
+        if self.idle_since is None:
+            self.idle_since = now
+        return lost
 
     def __repr__(self):
         return "Worker(wid={}, outstanding={}, idle={})".format(

@@ -274,16 +274,7 @@ class FaultInjector:
                 lost.append(d._action_request)
                 d._action_request = None
         for worker in server.workers:
-            if worker.current is not None:
-                lost.append(worker.current)
-                worker.current = None
-            lost.extend(worker.local)
-            worker.local.clear()
-            worker.run_start = None
-            worker._switching_until = None
-            worker.epoch += 1
-            if worker.idle_since is None:
-                worker.idle_since = now
+            lost.extend(worker.crash_reset(now))
         lost.extend(d.rx)
         d.rx.clear()
         lost.extend(d.requeues)

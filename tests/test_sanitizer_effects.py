@@ -141,6 +141,30 @@ class TestCallGraph:
         analysis = EffectAnalysis(sources)
         assert IO in analysis.effects_of("pkg.agent:Agent.start")
 
+    def test_partial_callback_reaches_its_target(self, tmp_path):
+        # ``functools.partial(peer.handle, x)`` posted as a callback is a
+        # deferred call of ``handle``, even on an untyped receiver.
+        sources = build_package(tmp_path, {
+            "peer.py": """
+                import time
+
+                class Peer:
+                    def handle(self, x):
+                        return time.time() + x
+            """,
+            "agent.py": """
+                from functools import partial
+
+                def start(loop, peer):
+                    loop.post(1, partial(peer.handle, 3))
+            """,
+        })
+        analysis = EffectAnalysis(sources)
+        assert CLOCK in analysis.effects_of("pkg.agent:start")
+        assert "pkg.peer:Peer.handle" in analysis.reachable_from(
+            "pkg.agent:start"
+        )
+
     def test_super_call_reaches_base_method(self, tmp_path):
         sources = build_package(tmp_path, {
             "base.py": """
