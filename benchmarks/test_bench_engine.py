@@ -1,10 +1,11 @@
 """Benchmark: Engine v2 — the heap event queue, the ``post`` fast-path,
 the compiled IR fast-path, and the persistent worker pool.
 
-Guards the simulator hot path (local bindings, hoisted trace branch, lazy-
-cancellation compaction) and writes the headline numbers to
-``BENCH_engine.json`` at the repo root (the CI perf artifact).  Three
-shapes:
+Guards the simulator's one drain loop (local bindings, one ``is not
+None`` observer check per event, lazy-cancellation compaction) and
+writes the headline numbers to ``BENCH_engine.json`` at the repo root
+(the CI perf artifact).  The chains time the same loop every simulation
+runs.  Three shapes:
 
 * a plain event chain — the dispatch/completion pattern that dominates
   every run — in both the handle-returning ``after`` form and the
@@ -154,27 +155,13 @@ def test_engine_cancellation_storm(benchmark):
     assert _events_per_sec(sim, benchmark) > MIN_EVENTS_PER_SEC / 2
 
 
-def _kernel_executor_seconds(backend):
-    """Wall seconds to execute an instrumented kernel on one IR backend."""
-    from repro.instrument.compile import executor_for
+def _kernel_executor_seconds(executor_class):
+    """Wall seconds to execute an instrumented kernel on one IR executor
+    (``Interpreter`` or ``CompiledModule``)."""
     from repro.instrument.kernels import KERNELS
-    from repro.instrument.optim import optimize_function
-    from repro.instrument.passes import (
-        CACHELINE_STYLE,
-        LoopUnrollPass,
-        ProbeInsertionPass,
-    )
+    from repro.instrument.profile import build_kernel_modules
 
-    module = KERNELS[0].factory()
-    for function in module.functions.values():
-        optimize_function(function)
-    probe_pass = ProbeInsertionPass(CACHELINE_STYLE)
-    for function in module.functions.values():
-        probe_pass.run(function)
-    unroll = LoopUnrollPass(discount=True)
-    for function in module.functions.values():
-        unroll.run(function)
-    executor = executor_for(module, backend=backend)
+    executor = executor_class(build_kernel_modules(KERNELS[0].factory)[1])
     started = time.perf_counter()
     result = executor.run()
     return time.perf_counter() - started, result
@@ -220,8 +207,13 @@ def test_engine_artifact(benchmark):
         "post_heap": _timed_rate(_post_chain, CHAIN_EVENTS),
     }
 
-    interp_seconds, interp_result = _kernel_executor_seconds("interp")
-    compiled_seconds, compiled_result = _kernel_executor_seconds("compiled")
+    from repro.instrument.compile import CompiledModule
+    from repro.instrument.interp import Interpreter
+
+    interp_seconds, interp_result = _kernel_executor_seconds(Interpreter)
+    compiled_seconds, compiled_result = _kernel_executor_seconds(
+        CompiledModule
+    )
     assert interp_result.cycles == compiled_result.cycles
     kernel_speedup = interp_seconds / max(compiled_seconds, 1e-9)
 

@@ -6,7 +6,8 @@ stay ``None`` on a plan-free rack, and every hook is one falsy check
 (``tests/test_faults.py`` proves the stronger property — bit-identical
 results).  This benchmark pins the *throughput* side of that promise:
 
-* the raw engine drain loop, compared against the baseline recorded in
+* the engine drain loop — the one loop every simulation runs — on a
+  no-op chain, compared against the baseline recorded in
   ``BENCH_obs.json`` (same microbenchmark shape) — the disabled path
   must stay within a few percent of it;
 * a plan-free rack run vs the same rack under a crash plan with

@@ -2,11 +2,13 @@
 
 The probe bus promises **zero overhead when disabled**: components hold a
 ``probes`` attribute that stays ``None`` and every probe site is guarded
-by one falsy check, while the engine drain loop is not touched at all
-(the bus rides the pre-existing hoisted ``_trace`` slot).  This benchmark
-pins that promise and records the actual cost of turning tracing on:
+by one falsy check.  The engine has one drain loop, which feeds the bus
+through its ``_trace`` slot behind one ``is not None`` check per event.
+This benchmark pins that promise and records the actual cost of turning
+tracing on:
 
-* the raw engine drain loop, compared against the baseline recorded in
+* the engine drain loop — the loop every simulation runs — on a no-op
+  chain, compared against the baseline recorded in
   ``BENCH_parallel.json`` (same microbenchmark shape) — the disabled
   path must stay within a few percent of it;
 * an untraced server run vs the same run under ``TraceConfig.full()``

@@ -128,17 +128,20 @@ class Cluster:
                 self.sim.attach_probes(bus)
         self._ran = False
 
-    def run(self, workload, arrival, num_requests, until_us=None,
-            max_events=120_000_000):
+    def run(self, workload, arrival, num_requests, until_us=None):
         """Offer ``num_requests`` open-loop arrivals to the rack and run the
-        shared event loop to drain (or to ``until_us``)."""
+        shared event loop to drain (or to ``until_us``).  A run without
+        ``until_us`` that has not drained after
+        :data:`~repro.constants.RACK_EVENT_BUDGET` events raises
+        :class:`~repro.core.server.RunLimitExceeded`."""
         if self._ran:
             raise RuntimeError("Cluster instances are single-shot; build a new one")
         self._ran = True
         self.balancer.start(workload, arrival, num_requests)
         clock = self.machine.clock
         until = clock.us_to_cycles(until_us) if until_us is not None else None
-        self.sim.run(until=until, max_events=max_events)
+        budget = constants.RACK_EVENT_BUDGET
+        self.sim.run(until=until, max_events=budget)
         completed = sum(len(server.completed) for server in self.servers)
         if self.injector is not None or self.resilience is not None:
             # Crashed-away losses / shed / failed requests never produce a
@@ -151,7 +154,7 @@ class Cluster:
             raise RunLimitExceeded(
                 "rack[{}x{}]: {} events were not enough to drain {} requests "
                 "({} completed)".format(
-                    self.num_servers, self.config.name, max_events,
+                    self.num_servers, self.config.name, budget,
                     num_requests, completed,
                 )
             )

@@ -221,3 +221,14 @@ TAIL_PERCENTILE = 99.9
 
 #: Default JBSQ bound (section 3.2: "we found k = 2 to be sufficient").
 DEFAULT_JBSQ_DEPTH = 2
+
+# --- Runaway guards (simulator bookkeeping, not from the paper) ---------------
+
+#: Events a simulator owned by one runtime (a server, a logical-queue
+#: server, one replicated partition) may fire before a run that should
+#: drain is declared runaway (:class:`~repro.core.server.RunLimitExceeded`).
+SERVER_EVENT_BUDGET = 60_000_000
+
+#: The same budget for a rack's shared simulator, which fires the events of
+#: every member server plus the balancer and fabric.
+RACK_EVENT_BUDGET = 120_000_000

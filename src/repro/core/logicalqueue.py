@@ -308,8 +308,7 @@ class LogicalQueueServer:
             "LogicalQueueServer has no dispatcher; that is the point"
         )
 
-    def run(self, workload, arrival, num_requests, until_us=None,
-            max_events=60_000_000):
+    def run(self, workload, arrival, num_requests, until_us=None):
         if self._ran:
             raise RuntimeError("single-shot server; build a new one")
         self._ran = True
@@ -344,7 +343,7 @@ class LogicalQueueServer:
 
         schedule_next()
         until = self.clock.us_to_cycles(until_us) if until_us is not None else None
-        self.sim.run(until=until, max_events=max_events)
+        self.sim.run(until=until, max_events=constants.SERVER_EVENT_BUDGET)
         return _LqResult(self, state, until)
 
 

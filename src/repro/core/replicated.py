@@ -44,8 +44,7 @@ class ReplicatedServer:
         ]
         self._ran = False
 
-    def run(self, workload, arrival, num_requests, until_us=None,
-            max_events=60_000_000):
+    def run(self, workload, arrival, num_requests, until_us=None):
         """Sample one arrival stream, deal it round-robin to partitions,
         replay each partition, and merge."""
         if self._ran:
@@ -60,11 +59,7 @@ class ReplicatedServer:
         for partition, shard in zip(self.partitions, shards):
             if not shard:
                 continue
-            results.append(
-                partition.run_trace(
-                    Trace(shard), until_us=until_us, max_events=max_events
-                )
-            )
+            results.append(partition.run_trace(Trace(shard), until_us=until_us))
         return ReplicatedResult(self, results)
 
 

@@ -385,8 +385,7 @@ class Server:
 
     # -- running ---------------------------------------------------------------------------
 
-    def run(self, workload, arrival, num_requests, until_us=None,
-            max_events=60_000_000):
+    def run(self, workload, arrival, num_requests, until_us=None):
         """Generate ``num_requests`` open-loop arrivals and run to drain.
 
         Parameters
@@ -400,18 +399,19 @@ class Server:
         until_us:
             Optional hard stop (µs of simulated time): the run ends even if
             requests are still in flight — used by saturation measurements.
-        max_events:
-            Safety valve against runaway simulations.
+
+        A run without ``until_us`` that has not drained after
+        :data:`~repro.constants.SERVER_EVENT_BUDGET` events raises
+        :class:`RunLimitExceeded`.
         """
         if num_requests < 1:
             raise ValueError("need at least one request")
         return self.run_source(
             self.arrival_source(workload, arrival, num_requests),
-            expected=num_requests, until_us=until_us, max_events=max_events,
+            expected=num_requests, until_us=until_us,
         )
 
-    def run_source(self, source, expected=None, until_us=None,
-                   max_events=60_000_000):
+    def run_source(self, source, expected=None, until_us=None):
         """Drive the server from an injectable arrival source.
 
         ``source`` is any iterator of ``(arrival_us, request)`` pairs with
@@ -438,9 +438,9 @@ class Server:
                              "arrival")
 
         schedule_next()
-        return self._drain(expected, until_us, max_events)
+        return self._drain(expected, until_us)
 
-    def run_trace(self, trace, until_us=None, max_events=60_000_000):
+    def run_trace(self, trace, until_us=None):
         """Replay a recorded :class:`~repro.workloads.trace.Trace` exactly:
         same arrival instants, kinds, and service times.  Replaying one
         trace against several configurations gives a perfectly paired
@@ -454,10 +454,7 @@ class Server:
                     rid, record.kind, record.service_us
                 )
 
-        return self.run_source(
-            source(), expected=len(trace), until_us=until_us,
-            max_events=max_events,
-        )
+        return self.run_source(source(), expected=len(trace), until_us=until_us)
 
     def collect_result(self, drained=None, num_offered=None):
         """Build a :class:`SimResult` from the server's current state.
@@ -487,9 +484,10 @@ class Server:
             raise RuntimeError("Server instances are single-shot; build a new one")
         self._ran = True
 
-    def _drain(self, expected, until_us, max_events):
+    def _drain(self, expected, until_us):
         until = self.clock.us_to_cycles(until_us) if until_us is not None else None
-        self.sim.run(until=until, max_events=max_events)
+        budget = constants.SERVER_EVENT_BUDGET
+        self.sim.run(until=until, max_events=budget)
         if expected is None:
             expected = self._arrivals["count"]
         drained = len(self.completed) == expected
@@ -498,7 +496,7 @@ class Server:
                 raise RunLimitExceeded(
                     "{}: {} events were not enough to drain {} requests "
                     "({} completed)".format(
-                        self.config.name, max_events, expected,
+                        self.config.name, budget, expected,
                         len(self.completed),
                     )
                 )

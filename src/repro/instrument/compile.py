@@ -27,15 +27,13 @@ How fidelity is kept:
 
 Constructs the generator cannot express raise :class:`CompileUnsupported`
 and the caller falls back to the interpreter — :func:`executor_for` does
-this automatically, honouring ``REPRO_IR_BACKEND`` (``auto`` | ``compiled``
-| ``interp``).
+this automatically.  The interpreter stays the reference the compiled
+code is tested against.
 
 The IR is snapshotted at compile time: mutating a module after compiling
 it (e.g. re-running instrumentation passes) requires a fresh
 :class:`CompiledModule`.
 """
-
-import os
 
 from repro.instrument.interp import (
     ExecutionResult,
@@ -49,10 +47,7 @@ __all__ = [
     "CompileUnsupported",
     "CompiledModule",
     "executor_for",
-    "resolve_ir_backend",
 ]
-
-_BACKENDS = ("auto", "compiled", "interp")
 
 #: Opcodes lowered as plain binary expressions: (template, cost).
 _BINOPS = {
@@ -74,47 +69,22 @@ _BINOPS = {
 }
 
 
-def resolve_ir_backend(backend=None):
-    """Normalize an IR-backend name: explicit argument, else
-    ``$REPRO_IR_BACKEND``, else ``auto`` (compiled with interpreter
-    fallback).  Backends are bit-identical, so the choice never changes
-    results — only wall-clock speed."""
-    if backend is None:
-        # Backend selection only: compiled and interpreted execution are
-        # proven bit-identical (tests/test_instrument_compile.py).
-        backend = os.environ.get("REPRO_IR_BACKEND", "").strip() or "auto"  # repro-san: ignore[DET005] -- IR backend selection; backends are proven bit-identical, so this ambient read cannot change results
-    if backend not in _BACKENDS:
-        raise ValueError(
-            "unknown IR backend {!r}; known: {}".format(
-                backend, ", ".join(_BACKENDS)
-            )
-        )
-    return backend
-
-
-def executor_for(module, memory_words=1 << 16, record_probes=True,
-                 backend=None):
+def executor_for(module, memory_words=1 << 16, record_probes=True):
     """Build the fastest available executor for ``module``.
 
-    Returns a :class:`CompiledModule` when the module compiles (or an
-    :class:`~repro.instrument.interp.Interpreter` otherwise); both expose
-    the same ``run(args, function, max_instructions, preempt_check)``
-    API.  ``backend="compiled"`` propagates :class:`CompileUnsupported`
-    instead of falling back; ``backend="interp"`` skips compilation.
+    Returns a :class:`CompiledModule` when the module compiles, else an
+    :class:`~repro.instrument.interp.Interpreter`; both expose the same
+    ``run(args, function, max_instructions, preempt_check)`` API and
+    produce bit-identical results.
     """
-    backend = resolve_ir_backend(backend)
-    if backend != "interp":
-        try:
-            return CompiledModule(
-                module, memory_words=memory_words,
-                record_probes=record_probes,
-            )
-        except CompileUnsupported:
-            if backend == "compiled":
-                raise
-    return Interpreter(
-        module, memory_words=memory_words, record_probes=record_probes
-    )
+    try:
+        return CompiledModule(
+            module, memory_words=memory_words, record_probes=record_probes
+        )
+    except CompileUnsupported:
+        return Interpreter(
+            module, memory_words=memory_words, record_probes=record_probes
+        )
 
 
 class CompileUnsupported(Exception):

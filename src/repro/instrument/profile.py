@@ -28,7 +28,7 @@ from repro.instrument.passes import (
     ProbeInsertionPass,
 )
 
-__all__ = ["InstrumentationProfile", "profile_kernel"]
+__all__ = ["InstrumentationProfile", "build_kernel_modules", "profile_kernel"]
 
 _MAX_STORED_GAPS = 4096
 
@@ -146,9 +146,10 @@ class InstrumentationProfile:
         )
 
 
-def profile_kernel(kernel_factory, style=CACHELINE_STYLE, unroll=True,
-                   discount=None, args=(), name=None):
-    """Instrument and execute a kernel, returning its profile.
+def build_kernel_modules(kernel_factory, style=CACHELINE_STYLE, unroll=True,
+                         discount=None):
+    """Build a kernel's ``(baseline, instrumented)`` IR modules the way
+    :func:`profile_kernel` runs them.
 
     ``kernel_factory`` builds a fresh :class:`~repro.instrument.ir.Module`
     each call (instrumentation mutates the IR).  ``discount`` defaults to
@@ -165,7 +166,6 @@ def profile_kernel(kernel_factory, style=CACHELINE_STYLE, unroll=True,
     for function in base_module.functions.values():
         optimize_function(function)
         baseline_pass.run(function)
-    base = executor_for(base_module, record_probes=False).run(args=args)
 
     # The instrumented build goes through the same scalar optimizations
     # before probes are inserted (Concord instruments optimized IR).
@@ -187,7 +187,21 @@ def profile_kernel(kernel_factory, style=CACHELINE_STYLE, unroll=True,
         # and compiles through the same -O3 pipeline as the baseline.
         for function in module.functions.values():
             baseline_pass.run(function)
-    # The compiled fast-path (bit-identical; REPRO_IR_BACKEND selects).
+    return base_module, module
+
+
+def profile_kernel(kernel_factory, style=CACHELINE_STYLE, unroll=True,
+                   discount=None, args=(), name=None):
+    """Instrument and execute a kernel, returning its profile.
+
+    The modules come from :func:`build_kernel_modules` (same arguments) and
+    run on the compiled executor, falling back to the interpreter when a
+    module does not compile.
+    """
+    base_module, module = build_kernel_modules(
+        kernel_factory, style=style, unroll=unroll, discount=discount
+    )
+    base = executor_for(base_module, record_probes=False).run(args=args)
     run = executor_for(module).run(args=args)
 
     return InstrumentationProfile(

@@ -4,7 +4,9 @@ A :class:`ProbeBus` is the single object a server (or the rack balancer)
 talks to while instrumented.  Components hold a ``probes`` attribute that
 is ``None`` by default and guard every probe site with ``if probes is not
 None`` — so the uninstrumented hot path costs one attribute load and a
-falsy check per site, and the engine drain loop is not touched at all
+falsy check per site.  The engine's one drain loop pays one ``is not
+None`` check per event for its observer slot, which the bus fills
+through :meth:`~repro.sim.engine.Simulator.attach_probes`
 (``benchmarks/test_bench_obs.py`` pins the overhead).
 
 The bus fans each probe out three ways:

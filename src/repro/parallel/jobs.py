@@ -101,7 +101,6 @@ class RackJob:
     seed: int = 1
     warmup_frac: float = 0.1
     fabric: Optional[Any] = None
-    max_events: int = 120_000_000
 
     def run(self):
         from repro.cluster import Cluster
@@ -112,8 +111,7 @@ class RackJob:
             seed=self.seed, fabric=self.fabric,
         )
         result = cluster.run(
-            self.workload, PoissonProcess(self.load_rps), self.num_requests,
-            max_events=self.max_events,
+            self.workload, PoissonProcess(self.load_rps), self.num_requests
         )
         summary = result.summary(self.warmup_frac)
         return {
@@ -152,7 +150,6 @@ class FaultJob:
     fabric: Optional[Any] = None
     fault_plan: Optional[Any] = None
     resilience: Optional[Any] = None
-    max_events: int = 120_000_000
 
     def run(self):
         from repro.cluster import Cluster
@@ -165,8 +162,7 @@ class FaultJob:
             resilience=self.resilience,
         )
         result = cluster.run(
-            self.workload, PoissonProcess(self.load_rps), self.num_requests,
-            max_events=self.max_events,
+            self.workload, PoissonProcess(self.load_rps), self.num_requests
         )
         slowdowns = result.slowdowns(self.warmup_frac)
         summary = summarize_slowdowns(slowdowns) if slowdowns else None

@@ -244,8 +244,8 @@ class ParallelRunner:
         }
         #: Quarantined records, in the order the supervisor gave up.
         self.quarantined = []
-        #: Per-job wall times and hit/miss counters land here; the sweep
-        #: CLI prints :meth:`summary_line` from it.
+        #: Per-job wall times (the ``runner.job_seconds`` series); counts
+        #: live in :attr:`stats`.  :meth:`summary_line` reads both.
         self.telemetry = TelemetryRegistry()
         self._warned_fallback = False
         #: Persistent worker pool, started on the first parallel batch and
@@ -278,7 +278,6 @@ class ParallelRunner:
                         results[i] = value
             hits = sum(1 for r in results if r is not _MISSING)
             self.stats["cache_hits"] += hits
-            self.telemetry.count("runner.cache_hits", hits)
         pending = [i for i, r in enumerate(results) if r is _MISSING]
         if pending:
             def deliver(j, value, seconds):
@@ -299,10 +298,8 @@ class ParallelRunner:
                 if not isinstance(value, Quarantined):
                     completed += 1
             self.stats["jobs_run"] += completed
-            self.telemetry.count("runner.jobs_run", completed)
             if cache is not None:
                 self.stats["cache_misses"] += len(pending)
-                self.telemetry.count("runner.cache_misses", len(pending))
         return results
 
     def run(self, job):
@@ -573,7 +570,6 @@ class ParallelRunner:
         record = Quarantined(job=job, reason=reason, attempts=attempts)
         self.quarantined.append(record)
         self.stats["quarantined"] += 1
-        self.telemetry.count("runner.quarantined", 1)
         warnings.warn(
             "quarantined {}".format(record.describe()),
             RuntimeWarning,

@@ -24,6 +24,11 @@ Queue entries are therefore either ``(time, seq, event)`` triples or
 ``(time, seq, None, callback, name)`` fire-and-forget tuples; ``entry[2]
 is None`` distinguishes them and the unique ``seq`` guarantees ordering
 comparisons never reach the mismatched tails.
+
+One drain loop, :meth:`Simulator.run`, serves every caller: it stops when
+the queue drains, at ``until`` or after ``max_events`` events, and checks
+the observer set by :meth:`Simulator.attach_probes` once per event (one
+``is not None`` test).  :meth:`Simulator.step` is ``run(max_events=1)``.
 """
 
 import heapq
@@ -40,6 +45,11 @@ __all__ = [
 #: is O(queue) and removes >= half the entries, so total compaction work is
 #: amortized O(1) per cancellation.
 COMPACT_MIN_DEAD = 256
+
+#: Stop time of a run without ``until``.  An int, so the drain loop's
+#: per-event stop test stays one int compare (a float ``inf`` costs twice
+#: that); events past it still fire, since only a real ``until`` stops.
+_FOREVER = 1 << 256
 
 
 class SimulationError(RuntimeError):
@@ -105,8 +115,8 @@ class Simulator:
         """Feed every fired event into ``bus.sim_event(time, name)``.
 
         One bus per simulator: a later call replaces the earlier one.  The
-        sink rides the drain loop's hoisted trace branch, so the
-        no-observer path pays nothing for it.
+        drain loop checks the observer once per event (``is not None``);
+        that check is all an unobserved run pays for it.
         """
         self._trace = bus.sim_event
         return self
@@ -223,35 +233,16 @@ class Simulator:
     def step(self):
         """Run the next pending event.  Returns False when the queue is
         empty."""
-        heap = self._heap
-        pop = heapq.heappop
-        while heap:
-            entry = pop(heap)
-            event = entry[2]
-            if event is None:
-                self.now = entry[0]
-                if self._trace is not None:
-                    self._trace(entry[0], entry[4])
-                self._events_run += 1
-                entry[3]()
-                return True
-            if event.cancelled:
-                self._dead_in_heap -= 1
-                continue
-            event._sim = None
-            self.now = entry[0]
-            if self._trace is not None:
-                self._trace(entry[0], event.name)
-            self._events_run += 1
-            event.callback()
-            return True
-        return False
+        return self.run(max_events=1) == 1
 
     def run(self, until=None, max_events=None):
         """Run until the queue drains, ``until`` cycles pass, or
         ``max_events`` events have executed — whichever comes first.
 
-        Returns the number of events executed during this call.
+        A stop at ``until`` (or a drain with ``until`` still ahead) leaves
+        ``now`` at ``until``; a stop at ``max_events`` leaves it at the last
+        fired event.  Returns the number of events executed during this
+        call.
         """
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
@@ -259,78 +250,39 @@ class Simulator:
         heap = self._heap
         pop = heapq.heappop
         trace = self._trace
-        executed = 0
+        stop = _FOREVER if until is None else until
+        # Counts down to 0; -1 (no budget) never gets there.
+        budget = left = -1 if max_events is None else max_events
         try:
-            if until is None and max_events is None:
-                # Hot path: drain everything with minimal bookkeeping (no
-                # bound checks; the trace branch is hoisted out of the loop).
-                if trace is None:
-                    while heap:
-                        entry = pop(heap)
-                        event = entry[2]
-                        if event is None:
-                            self.now = entry[0]
-                            entry[3]()
-                            executed += 1
-                            continue
-                        if event.cancelled:
-                            self._dead_in_heap -= 1
-                            continue
-                        event._sim = None
-                        self.now = entry[0]
-                        event.callback()
-                        executed += 1
-                else:
-                    while heap:
-                        entry = pop(heap)
-                        event = entry[2]
-                        if event is None:
-                            self.now = entry[0]
-                            trace(entry[0], entry[4])
-                            entry[3]()
-                            executed += 1
-                            continue
-                        if event.cancelled:
-                            self._dead_in_heap -= 1
-                            continue
-                        event._sim = None
-                        self.now = entry[0]
-                        trace(entry[0], event.name)
-                        event.callback()
-                        executed += 1
-                self._events_run += executed
-                return executed
-            while heap:
-                if max_events is not None and executed >= max_events:
-                    break
-                head = heap[0]
-                event = head[2]
+            while left and heap:
+                entry = pop(heap)
+                event = entry[2]
                 if event is not None and event.cancelled:
-                    pop(heap)
                     self._dead_in_heap -= 1
                     continue
-                if until is not None and head[0] > until:
+                time = entry[0]
+                if time > stop and until is not None:
+                    # Same (time, seq) key, so the pop order is unchanged.
+                    heapq.heappush(heap, entry)
                     self.now = int(until)
                     break
-                pop(heap)
-                self.now = head[0]
+                self.now = time
                 if event is None:
                     if trace is not None:
-                        trace(head[0], head[4])
-                    head[3]()
+                        trace(time, entry[4])
+                    entry[3]()
                 else:
                     event._sim = None
                     if trace is not None:
-                        trace(head[0], event.name)
+                        trace(time, event.name)
                     event.callback()
-                executed += 1
-            else:
-                if until is not None and until > self.now:
-                    self.now = int(until)
-            self._events_run += executed
+                left -= 1
+            if not heap and until is not None and until > self.now:
+                self.now = int(until)
         finally:
             self._running = False
-        return executed
+            self._events_run += budget - left
+        return budget - left
 
     # -- introspection ----------------------------------------------------------
 

@@ -17,39 +17,16 @@ from repro.instrument.compile import (
     CompiledModule,
     CompileUnsupported,
     executor_for,
-    resolve_ir_backend,
 )
 from repro.instrument.interp import Interpreter, InterpreterError
 from repro.instrument.ir import Function, Instr, Module, Terminator
 from repro.instrument.kernels import KERNELS
-from repro.instrument.optim import optimize_function
-from repro.instrument.passes import (
-    BaselineOptimizePass,
-    CACHELINE_STYLE,
-    LoopUnrollPass,
-    ProbeInsertionPass,
-    RDTSC_STYLE,
+from repro.instrument.passes import CACHELINE_STYLE, RDTSC_STYLE
+from repro.instrument.profile import (
+    InstrumentationProfile,
+    build_kernel_modules,
+    profile_kernel,
 )
-from repro.instrument.profile import profile_kernel
-
-
-def build_instrumented(factory, style):
-    """The full pipeline profile_kernel applies to the instrumented build."""
-    module = factory()
-    for function in module.functions.values():
-        optimize_function(function)
-    probe_pass = ProbeInsertionPass(style)
-    for function in module.functions.values():
-        probe_pass.run(function)
-    if style == CACHELINE_STYLE:
-        unroll = LoopUnrollPass(discount=True)
-        for function in module.functions.values():
-            unroll.run(function)
-    else:
-        baseline = BaselineOptimizePass()
-        for function in module.functions.values():
-            baseline.run(function)
-    return module
 
 
 def bits(value):
@@ -64,8 +41,8 @@ def bits(value):
 @pytest.mark.parametrize("spec", KERNELS, ids=lambda s: s.name)
 def test_compiled_matches_interpreter(spec, style):
     pokes_interp, pokes_compiled = [], []
-    interp = Interpreter(build_instrumented(spec.factory, style))
-    compiled = CompiledModule(build_instrumented(spec.factory, style))
+    interp = Interpreter(build_kernel_modules(spec.factory, style=style)[1])
+    compiled = CompiledModule(build_kernel_modules(spec.factory, style=style)[1])
     a = interp.run(preempt_check=pokes_interp.append)
     b = compiled.run(preempt_check=pokes_compiled.append)
     assert bits(a.value) == bits(b.value)
@@ -77,11 +54,25 @@ def test_compiled_matches_interpreter(spec, style):
 
 
 @pytest.mark.parametrize("style", [CACHELINE_STYLE, RDTSC_STYLE])
-def test_profile_kernel_identical_across_backends(monkeypatch, style):
+@pytest.mark.parametrize("spec", KERNELS, ids=lambda s: s.name)
+def test_profile_modules_compile(spec, style):
+    """Every module profile_kernel runs compiles, so its executor_for
+    never silently falls back to the interpreter."""
+    for module in build_kernel_modules(spec.factory, style=style):
+        assert isinstance(executor_for(module), CompiledModule)
+
+
+@pytest.mark.parametrize("style", [CACHELINE_STYLE, RDTSC_STYLE])
+def test_profile_kernel_identical_across_backends(style):
     spec = KERNELS[0]
-    monkeypatch.setenv("REPRO_IR_BACKEND", "interp")
-    p_interp = profile_kernel(spec.factory, style=style)
-    monkeypatch.setenv("REPRO_IR_BACKEND", "compiled")
+    base_module, module = build_kernel_modules(spec.factory, style=style)
+    base = Interpreter(base_module, record_probes=False).run()
+    run = Interpreter(module).run()
+    p_interp = InstrumentationProfile(
+        name=base_module.name, style=style, base_cycles=base.cycles,
+        instrumented_cycles=run.cycles, probe_times=run.probe_times,
+        probes_fired=run.probes_fired,
+    )
     p_compiled = profile_kernel(spec.factory, style=style)
     assert p_interp.base_cycles == p_compiled.base_cycles
     assert p_interp.instrumented_cycles == p_compiled.instrumented_cycles
@@ -93,7 +84,7 @@ def test_profile_kernel_identical_across_backends(monkeypatch, style):
 def test_periodic_probe_state_shared_with_interpreter():
     """Interleaved interpreted/compiled runs of one module stay in phase:
     the compiled code mutates the same attrs["_count"] slot."""
-    module = build_instrumented(KERNELS[0].factory, CACHELINE_STYLE)
+    module = build_kernel_modules(KERNELS[0].factory)[1]
     interp = Interpreter(module)
     compiled = CompiledModule(module)
     a = interp.run()
@@ -116,16 +107,10 @@ def _tiny_module(ret=("x",)):
 
 
 def test_executor_for_backends():
-    assert isinstance(executor_for(_tiny_module(), backend="interp"),
-                      Interpreter)
-    assert isinstance(executor_for(_tiny_module(), backend="compiled"),
-                      CompiledModule)
-    assert isinstance(executor_for(_tiny_module(), backend="auto"),
-                      CompiledModule)
-    with pytest.raises(ValueError):
-        executor_for(_tiny_module(), backend="jit")
-    with pytest.raises(ValueError):
-        resolve_ir_backend("llvm")
+    executor = executor_for(_tiny_module(), record_probes=False)
+    assert isinstance(executor, CompiledModule)
+    reference = Interpreter(_tiny_module(), record_probes=False)
+    assert executor.run(args=(41,)).value == reference.run(args=(41,)).value == 42
 
 
 def test_unsupported_module_falls_back():
@@ -139,9 +124,8 @@ def test_unsupported_module_falls_back():
     block.terminate(Terminator("ret", ("x",)))
     with pytest.raises(CompileUnsupported):
         CompiledModule(module)
-    assert isinstance(executor_for(module, backend="auto"), Interpreter)
-    with pytest.raises(CompileUnsupported):
-        executor_for(module, backend="compiled")
+    assert isinstance(executor_for(module), Interpreter)
+    assert executor_for(module).run().value == (1, 2)
 
 
 def test_entry_arg_mismatch_raises_like_interpreter():

@@ -436,9 +436,7 @@ class TestRackJobs:
                       policy="jsq", workload=workload, load_rps=load,
                       num_requests=600, seed=5)
         direct = Cluster(machine, concord(5.0), 2, policy="jsq", seed=5)
-        direct_result = direct.run(
-            workload, PoissonProcess(load), 600, max_events=120_000_000
-        )
+        direct_result = direct.run(workload, PoissonProcess(load), 600)
         outcome = ParallelRunner(jobs=2).map([job])[0]
         assert outcome["p99"] == direct_result.summary(0.1).p99
         assert outcome["imbalance"] == direct_result.imbalance()
