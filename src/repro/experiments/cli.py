@@ -42,7 +42,7 @@ def _add_parallel_args(parser):
              "and eventually quarantined (default: no timeout)",
     )
     parser.add_argument(
-        "--max-retries", type=int, default=None, metavar="N",
+        "--max-retries", type=int, default=2, metavar="N",
         help="retries before a crashing or hanging job is quarantined "
              "(default: 2)",
     )
@@ -331,8 +331,6 @@ def _run_compare(args, stream, runner):
         title="{} at {:.0f} kRps, quantum {:g}us, {} workers".format(
             workload.name, load / 1e3, args.quantum_us, args.workers),
     ), file=stream)
-    if runner.stats["jobs_run"] or runner.stats["cache_hits"]:
-        print("  " + runner.summary_line(), file=stream)
     return 0
 
 
@@ -382,8 +380,6 @@ def _run_rack(args, stream, runner):
                   args.system, args.servers, workload.name, load / 1e3,
                   args.load_frac, args.staleness_us),
     ), file=stream)
-    if runner.stats["jobs_run"] or runner.stats["cache_hits"]:
-        print("  " + runner.summary_line(), file=stream)
     return 0
 
 
@@ -471,8 +467,6 @@ def _run_faults(args, stream, runner):
                   args.scenario, args.system, args.servers, args.policy,
                   workload.name, load / 1e3, args.load_frac),
     ), file=stream)
-    if runner.stats["jobs_run"] or runner.stats["cache_hits"]:
-        print("  " + runner.summary_line(), file=stream)
     return 0
 
 
@@ -514,13 +508,16 @@ def main(argv=None, stream=None):
     if args.command in _SWEEP_COMMANDS:
         runner = _build_runner(args, stream)
     try:
-        return _dispatch(args, stream, runner)
+        status = _dispatch(args, stream, runner)
+        if runner is not None and (runner.stats["jobs_run"] or
+                                   runner.stats["cache_hits"]):
+            print("  " + runner.summary_line(), file=stream)
+        return status
     except KeyboardInterrupt:
         if runner is None:
             raise
         # Every job that settled is already in the cache (stored as it
         # landed); the same command against the same cache resumes.
-        runner.close()
         cache = runner.cache
         if cache is None:
             message = (
@@ -534,6 +531,9 @@ def main(argv=None, stream=None):
             )
         print("concord-repro: interrupted; " + message, file=sys.stderr)
         return 130
+    finally:
+        if runner is not None:
+            runner.close()
 
 
 def _dispatch(args, stream, runner):
@@ -579,8 +579,6 @@ def _dispatch(args, stream, runner):
             ),
             file=stream,
         )
-    if runner.stats["jobs_run"] or runner.stats["cache_hits"]:
-        print("  " + runner.summary_line(), file=stream)
     return 0
 
 

@@ -5,13 +5,15 @@ Three layers:
 
 * :mod:`repro.parallel.jobs` — picklable job specs (:class:`SimJob`,
   :class:`ServerJob`, :class:`RackJob`, :class:`FaultJob`) whose
-  ``run()`` is a pure function
-  of their fields;
+  ``run()`` is a pure function of their fields and the only entry point
+  the runner calls, in-process and in pool workers alike;
 * :mod:`repro.parallel.runner` — :class:`ParallelRunner`, which maps jobs
   across a supervised process pool (or in-process when ``jobs=1`` /
   pickling fails) and returns results bit-identical to serial execution;
   hung jobs are watchdog-killed, retried, and finally quarantined
-  (:class:`Quarantined`) without disturbing the rest of the sweep;
+  (:class:`Quarantined`) without disturbing the rest of the sweep; a job
+  that raises lets the rest of its round settle, then its error is
+  re-raised, identically at every worker count;
 * :mod:`repro.parallel.cache` — :class:`ResultCache`, keyed by a stable
   hash of (machine, config, workload, arrival process, seed, request
   count, code version), so re-running ``run all`` only re-simulates what
@@ -27,9 +29,7 @@ from repro.parallel.cache import (
     default_cache_dir,
     stable_describe,
 )
-from repro.parallel.jobs import (
-    FaultJob, RackJob, ServerJob, SimJob, execute_job,
-)
+from repro.parallel.jobs import FaultJob, RackJob, ServerJob, SimJob
 from repro.parallel.runner import (
     ParallelRunner,
     Quarantined,
@@ -44,7 +44,6 @@ __all__ = [
     "ServerJob",
     "RackJob",
     "FaultJob",
-    "execute_job",
     "ParallelRunner",
     "Quarantined",
     "resolve_jobs",

@@ -3,20 +3,13 @@
 Each job is a frozen dataclass whose ``run()`` is a pure function of its
 fields: a fresh server (or rack) is built from the job's seed, so executing
 the same job in any process — or reading it back from the result cache —
-yields bit-identical results.  ``execute_job`` is the module-level entry
-point handed to ``multiprocessing.Pool.map`` (bound methods don't pickle on
-spawn-based platforms).
+yields bit-identical results.
 """
 
 from dataclasses import dataclass
 from typing import Any, Optional
 
-__all__ = ["SimJob", "RackJob", "ServerJob", "FaultJob", "execute_job"]
-
-
-def execute_job(job):
-    """Run one job in the current process (pool workers call this)."""
-    return job.run()
+__all__ = ["SimJob", "RackJob", "ServerJob", "FaultJob"]
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,9 @@ not a best-effort script:
 * A worker that crashes hard (``os._exit``, segfault) is detected via the
   broken-pool signal; the jobs it took down are retried in isolation and
   quarantined if they keep killing workers.
+* An exception raised *by* a job is a result row, not an abort: the rest
+  of its round settles (and is cached), then the lowest-index job's
+  error is raised — the same jobs kept, the same error, at every ``jobs``.
 * With a :class:`~repro.parallel.cache.ResultCache`, every job is stored
   the moment it settles, so an interrupted or killed sweep loses only the
   jobs still in flight; rerunning it against the same cache resumes.
@@ -47,7 +50,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.obs.registry import TelemetryRegistry
-from repro.parallel.jobs import execute_job
 
 __all__ = [
     "ParallelRunner",
@@ -116,44 +118,51 @@ class Quarantined:
         )
 
 
-def _run_timed(job):
-    """Execute one job and return ``(result, wall_seconds)``.
+def _timed_row(job):
+    """Run one job, returning ``("ok", value, seconds)`` or, when it
+    raises, ``("err", exc, seconds)``.
 
-    Module-level so pool workers can unpickle it; the measured wall time
-    feeds the runner's telemetry registry only and never enters results.
-    """
+    A raising job is a row, not an escaping exception, so the rest of
+    its round still settles (and is cached) before :meth:`ParallelRunner.map`
+    re-raises.  The wall time feeds the runner's telemetry registry only
+    and never enters results."""
     started = time.perf_counter()  # repro-san: ignore[DET001] -- wall-clock job timing for the runner telemetry footer only; never enters results
-    value = execute_job(job)
-    seconds = time.perf_counter() - started  # repro-san: ignore[DET001] -- wall-clock job timing for the runner telemetry footer only; never enters results
-    return value, seconds
+    try:
+        row = ("ok", job.run())
+    except Exception as exc:
+        row = ("err", exc)
+    return row + (time.perf_counter() - started,)  # repro-san: ignore[DET001] -- wall-clock job timing for the runner telemetry footer only; never enters results
 
 
 def _run_timed_batch(jobs):
-    """Execute a pre-chunked list of jobs in one pool task.
+    """Pool task: execute a pre-chunked list of jobs, one row per job.
 
     Shipping a list per task (instead of one job per task) amortizes the
     pickle + IPC round-trip that made small sweeps slower than serial.
-    Each row is ``("ok", value, seconds)`` or ``("err", exc, seconds)`` —
-    a raising job must not discard its chunk-mates' finished results, so
-    exceptions travel back as data, not as a poisoned task."""
+    An exception that cannot travel back is replaced by a
+    :class:`RuntimeError` naming it, so it cannot poison the chunk."""
     rows = []
     for job in jobs:
-        started = time.perf_counter()  # repro-san: ignore[DET001] -- wall-clock job timing for the runner telemetry footer only; never enters results
-        try:
-            value = execute_job(job)
-        except Exception as exc:
-            seconds = time.perf_counter() - started  # repro-san: ignore[DET001] -- wall-clock job timing for the runner telemetry footer only; never enters results
+        status, payload, seconds = _timed_row(job)
+        if status == "err":
             try:
-                pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
             except Exception:
-                exc = RuntimeError(
-                    _clip("{}: {}".format(type(exc).__name__, exc))
+                payload = RuntimeError(
+                    _clip("{}: {}".format(type(payload).__name__, payload))
                 )
-            rows.append(("err", exc, seconds))
-        else:
-            seconds = time.perf_counter() - started  # repro-san: ignore[DET001] -- wall-clock job timing for the runner telemetry footer only; never enters results
-            rows.append(("ok", value, seconds))
+        rows.append((status, payload, seconds))
     return rows
+
+
+def _settle_row(i, row, settle, errors):
+    """Settle job ``i`` from its row: a value goes to ``settle``, an
+    exception the job raised waits in ``errors`` for :meth:`ParallelRunner.map`."""
+    status, payload, seconds = row
+    if status == "ok":
+        settle(i, payload, seconds)
+    else:
+        errors[i] = payload
 
 
 def _warm_worker():
@@ -164,6 +173,24 @@ def _warm_worker():
     import repro.cluster.rack  # noqa: F401
     import repro.core.server  # noqa: F401
     import repro.workloads.named  # noqa: F401
+
+
+def _pickle_problem(batch):
+    """Why ``batch`` cannot be shipped to a pool, or None if it can.
+
+    Lazy: stops at the first unpicklable job and names its offending
+    field, without ever pickling the batch twice."""
+    for job in batch:
+        try:
+            pickle.dumps(job, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            return (
+                "job batch is not picklable ({}) (culprit: {}); running {} "
+                "job(s) in-process".format(
+                    _clip(str(exc)), _pickle_culprit(job), len(batch)
+                )
+            )
+    return None
 
 
 def _pickle_culprit(job):
@@ -185,6 +212,17 @@ def _pickle_culprit(job):
     return name
 
 
+def _chunks(pending, workers, singleton):
+    """Split ``pending`` into pool tasks: ~4 per worker so stragglers
+    (high-load points take longest) rebalance, or one job per task when
+    ``singleton`` — watchdog and retry rounds need the blame for a
+    timeout or a dead worker to land on one job."""
+    size = 1 if singleton else max(
+        1, (len(pending) + 4 * workers - 1) // (4 * workers)
+    )
+    return [pending[k:k + size] for k in range(0, len(pending), size)]
+
+
 class ParallelRunner:
     """Maps job specs to results, in order, with optional parallelism,
     caching, and per-job supervision.
@@ -198,32 +236,24 @@ class ParallelRunner:
         Optional :class:`~repro.parallel.cache.ResultCache`.  Jobs whose
         stable content hash is already stored are not re-simulated, and
         each new result is stored as soon as its job settles.
-    chunksize:
-        Jobs per pool task.  Default: batch split into ~4 chunks per
-        worker, so stragglers (high-load points take longest) rebalance.
-        Ignored (forced to 1) when ``job_timeout`` is set — watchdog
-        precision needs per-job tasks.
     job_timeout:
         Watchdog seconds per job (pooled execution only — an in-process
         job cannot be preempted).  ``None`` disables the watchdog.
     max_retries:
         How many times a hung or worker-killing job is re-dispatched
-        before it is quarantined (default 2).
+        before it is quarantined.
     """
 
-    def __init__(self, jobs=None, cache=None, chunksize=None,
-                 job_timeout=None, max_retries=2):
+    def __init__(self, jobs=None, cache=None, job_timeout=None,
+                 max_retries=2):
         self.jobs = resolve_jobs(jobs)
         self.cache = cache
-        self.chunksize = chunksize
         if job_timeout is not None and job_timeout <= 0:
             raise ValueError(
                 "job_timeout must be positive seconds or None, got "
                 "{!r}".format(job_timeout)
             )
         self.job_timeout = job_timeout
-        if max_retries is None:
-            max_retries = 2
         if max_retries < 0:
             raise ValueError(
                 "max_retries must be >= 0, got {!r}".format(max_retries)
@@ -233,14 +263,11 @@ class ParallelRunner:
             "jobs_run": 0,
             "cache_hits": 0,
             "cache_misses": 0,
-            "parallel_batches": 0,
-            "serial_batches": 0,
             "fallbacks": 0,
             "retries": 0,
             "timeouts": 0,
             "quarantined": 0,
             "pool_starts": 0,
-            "pool_reuses": 0,
         }
         #: Quarantined records, in the order the supervisor gave up.
         self.quarantined = []
@@ -263,7 +290,10 @@ class ParallelRunner:
         """Execute every job; returns results in input order.
 
         A slot holds a :class:`Quarantined` record instead of a result
-        when supervision gave up on that job (see class docstring)."""
+        when supervision gave up on that job (see class docstring).  A
+        job that raises stops nothing: the rest of its round settles and
+        is cached, then the lowest-index job's exception is raised — the
+        same jobs are kept and the same error surfaces at every ``jobs``."""
         jobs = list(jobs)
         results = [_MISSING] * len(jobs)
         keys = [None] * len(jobs)
@@ -278,87 +308,61 @@ class ParallelRunner:
                         results[i] = value
             hits = sum(1 for r in results if r is not _MISSING)
             self.stats["cache_hits"] += hits
+            self.stats["cache_misses"] += len(jobs) - hits
         pending = [i for i, r in enumerate(results) if r is _MISSING]
-        if pending:
-            def deliver(j, value, seconds):
-                # Called the moment a job settles — cache it immediately
-                # so an interrupt or a later failure cannot lose it.
-                i = pending[j]
-                self.telemetry.sample("runner.job_seconds", i, seconds)
-                if cache is not None and keys[i] is not None:
-                    cache.put(keys[i], value)
+        errors = {}
 
-            outputs = self._execute(
-                [jobs[i] for i in pending], on_result=deliver
-            )
-            completed = 0
-            for j, i in enumerate(pending):
-                value, _seconds = outputs[j]
-                results[i] = value
-                if not isinstance(value, Quarantined):
-                    completed += 1
-            self.stats["jobs_run"] += completed
-            if cache is not None:
-                self.stats["cache_misses"] += len(pending)
+        def settle(i, value, seconds):
+            # Called the moment a job settles — cache it immediately so
+            # an interrupt or a later failure cannot lose it.
+            results[i] = value
+            if isinstance(value, Quarantined):
+                return
+            self.telemetry.sample("runner.job_seconds", i, seconds)
+            if keys[i] is not None:
+                cache.put(keys[i], value)
+            self.stats["jobs_run"] += 1
+
+        workers = min(self.jobs, len(pending))
+        if workers > 1:
+            problem = _pickle_problem([jobs[i] for i in pending])
+            if problem is None:
+                try:
+                    self._execute_pool(
+                        jobs, pending, workers, results, settle, errors
+                    )
+                except OSError as exc:
+                    # Pool creation can fail in sandboxed/restricted
+                    # environments; the results must not.  Whatever
+                    # already finished is kept — only the remainder runs
+                    # in-process.
+                    problem = (
+                        "process pool unavailable ({}); running {} "
+                        "unfinished job(s) in-process".format(
+                            _clip(str(exc)),
+                            sum(1 for i in pending if results[i] is _MISSING),
+                        )
+                    )
+            if problem is not None:
+                self._note_fallback(problem)
+        # A pool round with a job error is the last one: what it left
+        # unsettled (a dead worker's chunk, say) is not run in-process.
+        if not errors:
+            for i in pending:
+                if results[i] is _MISSING:
+                    _settle_row(i, _timed_row(jobs[i]), settle, errors)
+        if errors:
+            # Raising the lowest job index keeps *which* error surfaces
+            # independent of future-completion order.
+            raise errors[min(errors)]
         return results
-
-    def run(self, job):
-        """Execute a single job (cache-aware)."""
-        return self.map([job])[0]
 
     # -- execution strategies ----------------------------------------------
 
-    def _execute(self, batch, on_result=None):
-        """Run ``batch``, returning ``[(value, seconds), ...]`` aligned
-        with it; ``on_result(index, value, seconds)`` fires as each job
-        settles (quarantined slots excepted)."""
-        outputs = [_MISSING] * len(batch)
-
-        def settle(i, value, seconds):
-            outputs[i] = (value, seconds)
-            if on_result is not None and not isinstance(value, Quarantined):
-                on_result(i, value, seconds)
-
-        workers = min(self.jobs, len(batch))
-        if workers > 1 and self._picklable(batch):
-            try:
-                self._execute_pool(batch, workers, outputs, settle)
-            except OSError as exc:
-                # Pool creation can fail in sandboxed/restricted
-                # environments; the results must not.  Whatever already
-                # finished is kept — only the remainder runs in-process.
-                unfinished = sum(1 for o in outputs if o is _MISSING)
-                self._note_fallback(
-                    "process pool unavailable ({}); running {} unfinished "
-                    "job(s) in-process".format(_clip(str(exc)), unfinished)
-                )
-        remainder = [i for i, o in enumerate(outputs) if o is _MISSING]
-        if remainder:
-            self.stats["serial_batches"] += 1
-            for i in remainder:
-                value, seconds = _run_timed(batch[i])
-                settle(i, value, seconds)
-        return outputs
-
-    def _picklable(self, batch):
-        """Lazily probe the batch: stop at the first unpicklable job and
-        name its offending field, without ever pickling the batch twice."""
-        for job in batch:
-            try:
-                pickle.dumps(job, protocol=pickle.HIGHEST_PROTOCOL)
-            except Exception as exc:
-                culprit = _pickle_culprit(job)
-                detail = " (culprit: {})".format(culprit) if culprit else ""
-                self._note_fallback(
-                    "job batch is not picklable ({}){}; running {} job(s) "
-                    "in-process".format(_clip(str(exc)), detail, len(batch))
-                )
-                return False
-        return True
-
     def _note_fallback(self, reason):
         """Count a degradation to serial execution, warning once per
-        runner — results stay bit-identical, only wall-clock suffers."""
+        runner — results stay bit-identical, only wall-clock suffers.
+        Called from :meth:`map` only, so the warning names its caller."""
         self.stats["fallbacks"] += 1
         if not self._warned_fallback:
             self._warned_fallback = True
@@ -366,14 +370,13 @@ class ParallelRunner:
                 "ParallelRunner(jobs={}) fell back to serial execution: "
                 "{}".format(self.jobs, reason),
                 RuntimeWarning,
-                stacklevel=5,
+                stacklevel=3,
             )
 
     def _get_pool(self, workers):
         """The persistent pool, started on first use and reused across
         batches (warm imports, no per-batch fork cost)."""
         if self._pool is not None and self._pool_workers >= workers:
-            self.stats["pool_reuses"] += 1
             return self._pool
         self.close()
         import multiprocessing
@@ -391,36 +394,25 @@ class ParallelRunner:
         self.stats["pool_starts"] += 1
         return self._pool
 
-    def _chunk(self, pending, workers, singleton):
-        if singleton:
-            return [[i] for i in pending]
-        chunksize = self.chunksize or max(
-            1, (len(pending) + 4 * workers - 1) // (4 * workers)
-        )
-        return [
-            pending[k:k + chunksize]
-            for k in range(0, len(pending), chunksize)
-        ]
-
-    def _execute_pool(self, batch, workers, outputs, settle):
-        """Asynchronous, supervised pool dispatch.
+    def _execute_pool(self, jobs, pending, workers, results, settle, errors):
+        """Asynchronous, supervised pool dispatch of ``jobs[i]`` for each
+        index ``i`` in ``pending``.
 
         Chunks are submitted as independent futures and collected as they
         finish, so a hung or crashing job never takes finished results
         with it.  Each failure round terminates the pool, blames the
         culpable jobs, and re-dispatches the survivors as singleton
-        tasks; a job that exhausts ``max_retries`` is quarantined.
-        Raises ``OSError`` only when the pool itself cannot run — the
-        caller then finishes the (salvaged) remainder in-process."""
-        pending = [i for i, o in enumerate(outputs) if o is _MISSING]
-        attempts = [0] * len(batch)
-        error = None
+        tasks; a job that exhausts ``max_retries`` is quarantined.  A
+        round in which a job raised is the last one.  Raises ``OSError``
+        only when the pool itself cannot run — the caller then finishes
+        the (salvaged) remainder in-process."""
+        attempts = dict.fromkeys(pending, 0)
         round_num = 0
         while pending:
-            # Watchdog rounds and retry rounds use singleton tasks: the
-            # blame for a timeout or a dead worker must land on one job.
-            singleton = round_num > 0 or self.job_timeout is not None
-            chunks = self._chunk(pending, workers, singleton)
+            chunks = _chunks(
+                pending, workers,
+                singleton=round_num > 0 or self.job_timeout is not None,
+            )
             pool = self._get_pool(workers)
             started = time.perf_counter()  # repro-san: ignore[DET001] -- wall-clock batch timing for the runner footer only; never enters results
             futures = {}
@@ -428,7 +420,7 @@ class ParallelRunner:
             for chunk in chunks:
                 try:
                     fut = pool.submit(
-                        _run_timed_batch, [batch[i] for i in chunk]
+                        _run_timed_batch, [jobs[i] for i in chunk]
                     )
                 except (OSError, RuntimeError) as exc:
                     # Couldn't start/feed workers; collect what was
@@ -436,59 +428,53 @@ class ParallelRunner:
                     submit_error = exc
                     break
                 futures[fut] = chunk
-            if futures:
-                self.stats["parallel_batches"] += 1
-            blamed, broken = self._collect(
-                batch, futures, settle, attempts
-            )
+            blamed, broken = self._collect(futures, settle, errors)
             self._parallel_wall += time.perf_counter() - started  # repro-san: ignore[DET001] -- wall-clock batch timing for the runner footer only; never enters results
             if broken or submit_error is not None:
                 self.close()
-            # Errors raised *by a job* are deterministic: re-raise after
-            # the whole round settled (and was cached).  Raising
-            # the lowest job index keeps *which* error surfaces
-            # independent of future-completion order.
-            if error is None and blamed["errors"]:
-                error = blamed["errors"][min(blamed["errors"])]
-            if error is not None:
-                raise error
-            survivors = [i for i in pending if outputs[i] is _MISSING]
+            if errors:
+                return
             if submit_error is not None:
                 raise OSError(
                     "worker pool failed mid-batch: {}".format(
                         _clip(str(submit_error))
                     )
                 ) from submit_error
-            if not survivors:
-                return
             retried = []
-            for i in survivors:
-                if i in blamed["jobs"]:
+            for i in pending:
+                if results[i] is not _MISSING:
+                    continue
+                if i in blamed:
                     attempts[i] += 1
                     if attempts[i] > self.max_retries:
-                        self._quarantine(
-                            batch[i], attempts[i], blamed["jobs"][i], settle,
-                            i,
+                        record = Quarantined(
+                            job=jobs[i], reason=blamed[i],
+                            attempts=attempts[i],
                         )
+                        self.quarantined.append(record)
+                        self.stats["quarantined"] += 1
+                        warnings.warn(
+                            "quarantined {}".format(record.describe()),
+                            RuntimeWarning,
+                            stacklevel=3,
+                        )
+                        settle(i, record, 0.0)
                         continue
+                    self.stats["retries"] += 1
                 retried.append(i)
-            self.stats["retries"] += sum(
-                1 for i in retried if i in blamed["jobs"]
-            )
             pending = retried
             round_num += 1
 
-    def _collect(self, batch, futures, settle, attempts):
+    def _collect(self, futures, settle, errors):
         """Drain the in-flight future set, settling jobs as they land.
 
-        Returns ``(blamed, broken)`` where ``blamed["jobs"]`` maps job
-        index -> failure reason for this round and ``blamed["errors"]``
-        maps job index -> the exception that *job* raised (as opposed to
-        the infrastructure failing around it)."""
+        Returns ``(blamed, broken)`` where ``blamed`` maps job index ->
+        why the infrastructure failed around that job this round (an
+        exception the job itself raised goes to ``errors`` instead)."""
         from concurrent.futures import FIRST_COMPLETED, wait
         from concurrent.futures.process import BrokenProcessPool
 
-        blamed = {"jobs": {}, "errors": {}}
+        blamed = {}
         broken = False
         pool_dead = False
         #: fut -> monotonic lapse time, armed only once the task is
@@ -500,13 +486,6 @@ class ParallelRunner:
         deadlines = {}
         not_done = set(futures)
         while not_done:
-            if self.job_timeout is not None and not pool_dead:
-                now = time.monotonic()  # repro-san: ignore[DET001] -- watchdog arming for supervision only; never enters results
-                for fut in not_done:  # repro-san: ignore[DET003] -- supervision-only scan: arming order cannot reach results
-                    if fut not in deadlines and fut.running():
-                        deadlines[fut] = now + (
-                            self.job_timeout * len(futures[fut])
-                        )
             done, not_done = wait(
                 not_done, timeout=_POLL_SECONDS,
                 return_when=FIRST_COMPLETED,
@@ -515,41 +494,39 @@ class ParallelRunner:
                 chunk = futures[fut]
                 try:
                     rows = fut.result()
-                except BrokenProcessPool:
-                    # A worker died mid-task.  Blame the chunk's
-                    # unfinished jobs; everything already settled stays.
-                    broken = True
-                    pool_dead = True
-                    for i in chunk:
-                        blamed["jobs"].setdefault(
-                            i, "worker process died (crash or kill)"
-                        )
-                    continue
                 except Exception as exc:
-                    # A task-level failure (e.g. an unpicklable return
-                    # value) leaves the pool alive and its other tasks
-                    # running — recycle it conservatively at round end,
-                    # but keep the watchdog armed meanwhile.
+                    # A worker that died mid-task takes the whole pool
+                    # down; any other task failure (e.g. an unpicklable
+                    # return value) leaves it and the watchdog running
+                    # until the round ends.  Either way the chunk's jobs
+                    # are blamed and everything already settled stays.
                     broken = True
-                    for i in chunk:
-                        blamed["jobs"].setdefault(
-                            i, "pool task failed: {}".format(_clip(str(exc)))
-                        )
-                    continue
-                for i, (status, payload, seconds) in zip(chunk, rows):
-                    if status == "ok":
-                        settle(i, payload, seconds)
+                    if isinstance(exc, BrokenProcessPool):
+                        pool_dead = True
+                        reason = "worker process died (crash or kill)"
                     else:
-                        blamed["errors"].setdefault(i, payload)
-            if pool_dead:
+                        reason = "pool task failed: {}".format(
+                            _clip(str(exc))
+                        )
+                    for i in chunk:
+                        blamed.setdefault(i, reason)
+                    continue
+                for i, row in zip(chunk, rows):
+                    _settle_row(i, row, settle, errors)
+            if pool_dead or self.job_timeout is None:
                 # Once the pool is dead every remaining future resolves
                 # broken too; keep draining so they are all accounted.
                 continue
-            now = time.monotonic()  # repro-san: ignore[DET001] -- watchdog deadline check for supervision only; never enters results
-            timed_out = [
-                fut for fut in not_done  # repro-san: ignore[DET003] -- supervision-only scan: every lapsed future is blamed identically, so set order cannot reach results
-                if fut in deadlines and now > deadlines[fut]
-            ]
+            now = time.monotonic()  # repro-san: ignore[DET001] -- watchdog arming and deadline check for supervision only; never enters results
+            timed_out = []
+            for fut in not_done:  # repro-san: ignore[DET003] -- supervision-only scan: arming order is irrelevant and every lapsed future is blamed identically, so set order cannot reach results
+                if fut not in deadlines:
+                    if fut.running():
+                        deadlines[fut] = now + (
+                            self.job_timeout * len(futures[fut])
+                        )
+                elif now > deadlines[fut]:
+                    timed_out.append(fut)
             if timed_out:
                 # A hung worker cannot be interrupted individually; the
                 # whole pool is recycled.  Blame only the jobs whose own
@@ -557,7 +534,7 @@ class ParallelRunner:
                 self.stats["timeouts"] += len(timed_out)
                 for fut in timed_out:
                     for i in futures[fut]:
-                        blamed["jobs"][i] = (
+                        blamed[i] = (
                             "hung past the {:g}s watchdog".format(
                                 self.job_timeout
                             )
@@ -565,17 +542,6 @@ class ParallelRunner:
                 broken = True
                 break
         return blamed, broken
-
-    def _quarantine(self, job, attempts, reason, settle, index):
-        record = Quarantined(job=job, reason=reason, attempts=attempts)
-        self.quarantined.append(record)
-        self.stats["quarantined"] += 1
-        warnings.warn(
-            "quarantined {}".format(record.describe()),
-            RuntimeWarning,
-            stacklevel=6,
-        )
-        settle(index, record, 0.0)
 
     def close(self):
         """Terminate the persistent worker pool (if any), killing hung

@@ -242,10 +242,15 @@ class Simulator:
         A stop at ``until`` (or a drain with ``until`` still ahead) leaves
         ``now`` at ``until``; a stop at ``max_events`` leaves it at the last
         fired event.  Returns the number of events executed during this
-        call.
+        call.  An ``until`` before ``now`` raises :class:`SimulationError`:
+        the clock never moves backwards.
         """
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
+        if until is not None and until < self.now:
+            raise SimulationError(
+                "run(until={}) is before now={}".format(until, self.now)
+            )
         self._running = True
         heap = self._heap
         pop = heapq.heappop

@@ -59,6 +59,24 @@ class _Outer:
     knob: _Knob
 
 
+@dataclass(frozen=True)
+class _Echo:
+    value: int
+
+    def run(self):
+        return self.value
+
+
+class _RaiseStored:
+    """Raises the same exception object every run."""
+
+    def __init__(self):
+        self.error = ValueError("original")
+
+    def run(self):
+        raise self.error
+
+
 def _machine():
     return c6420(4)
 
@@ -264,16 +282,19 @@ class TestRunnerMachinery:
             resolve_jobs(None)
 
     def test_chunk_boundaries(self):
-        runner = ParallelRunner(jobs=2, chunksize=10)
-        # chunksize beyond the batch: everything lands in one chunk.
-        assert runner._chunk([0, 1, 2, 3], 2, singleton=False) == [[0, 1, 2, 3]]
-        # Singleton (watchdog/retry) rounds ignore chunksize entirely.
-        assert runner._chunk([3, 5], 2, singleton=True) == [[3], [5]]
-        # Default chunking covers every index exactly once, in order.
-        default = ParallelRunner(jobs=2)
-        chunks = default._chunk(list(range(17)), 2, singleton=False)
+        from repro.parallel.runner import _chunks
+
+        # ~4 tasks per worker: 17 jobs on 2 workers ship 3 to a task.
+        chunks = _chunks(list(range(17)), 2, singleton=False)
+        assert [len(chunk) for chunk in chunks] == [3, 3, 3, 3, 3, 2]
+        # Chunking covers every index exactly once, in order.
         assert [i for chunk in chunks for i in chunk] == list(range(17))
-        assert all(chunk for chunk in chunks)
+        # Fewer jobs than 4 per worker: one job per task, never empty.
+        assert _chunks([0, 1, 2], 4, singleton=False) == [[0], [1], [2]]
+        # Singleton (watchdog/retry) rounds ship one job per task.
+        assert _chunks([3, 5, 8, 9, 11], 1, singleton=True) == [
+            [3], [5], [8], [9], [11]
+        ]
 
     def test_single_job_batch_stays_in_process(self):
         # One job cannot be parallelised; no pool should ever start.
@@ -281,11 +302,13 @@ class TestRunnerMachinery:
         job = SimJob(machine=_machine(), config=shinjuku(5.0),
                      workload=bimodal_50_1_50_100(), load_rps=2e5,
                      num_requests=100, seed=1)
-        result = runner.map([job])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # not a fallback either
+            result = runner.map([job])
         assert result[0].completed > 0
-        assert runner.stats["parallel_batches"] == 0
         assert runner.stats["pool_starts"] == 0
-        assert runner.stats["serial_batches"] == 1
+        assert runner.stats["fallbacks"] == 0
+        assert runner.stats["jobs_run"] == 1
 
     def test_pickle_probe_is_lazy_and_caps_detail(self, monkeypatch):
         # The probe stops at the first unpicklable job instead of
@@ -303,13 +326,11 @@ class TestRunnerMachinery:
 
         import repro.parallel.runner as runner_mod
         monkeypatch.setattr(runner_mod.pickle, "dumps", counting_dumps)
-        runner = ParallelRunner(jobs=2)
         batch = [Unpicklable() for _ in range(6)]
-        with pytest.warns(RuntimeWarning) as captured:
-            assert runner._picklable(batch) is False
+        message = runner_mod._pickle_problem(batch)
+        assert message is not None
         # One batch probe plus the culprit field probes — never all six.
         assert len(probes) <= 2
-        message = str(captured[0].message)
         assert len(message) < 600
 
     def test_unpicklable_batch_falls_back_in_process(self):
@@ -328,7 +349,7 @@ class TestRunnerMachinery:
         with pytest.warns(RuntimeWarning, match="fell back to serial"):
             results = runner.map([job, job])
         assert runner.stats["fallbacks"] >= 1
-        assert runner.stats["parallel_batches"] == 0
+        assert runner.stats["pool_starts"] == 0
         assert results[0] == results[1]
         assert results[0].completed > 0
         # The degradation warns once per runner, not once per batch.
@@ -353,57 +374,67 @@ class TestRunnerMachinery:
         # The culprit is the dataclass field holding the lambda, named
         # precisely so users know what to fix for true parallelism.
         assert "culprit: SimJob.config" in message
+        # The warning names the line that called map().
+        assert [w.filename for w in captured] == [__file__]
 
     def test_pool_failure_warns_and_falls_back(self, monkeypatch):
         runner = ParallelRunner(jobs=2)
 
-        def broken_pool(batch, workers, outputs, settle):
+        def broken_pool(jobs, pending, workers, results, settle, errors):
             raise OSError("pools forbidden here")
 
         monkeypatch.setattr(runner, "_execute_pool", broken_pool)
         job = SimJob(machine=_machine(), config=shinjuku(5.0),
                      workload=bimodal_50_1_50_100(), load_rps=2e5,
                      num_requests=200, seed=1)
-        with pytest.warns(RuntimeWarning, match="process pool unavailable"):
+        with pytest.warns(RuntimeWarning,
+                          match="process pool unavailable") as captured:
             results = runner.map([job, job])
         assert runner.stats["fallbacks"] == 1
-        assert runner.stats["serial_batches"] == 1
+        assert runner.stats["pool_starts"] == 0
+        assert runner.stats["jobs_run"] == 2
         assert results[0] == results[1]
+        # The warning names the line that called map().
+        assert [w.filename for w in captured] == [__file__]
 
     def test_pool_failure_salvages_completed_results(self, monkeypatch):
         """Satellite regression: a pool that dies mid-batch keeps the
         chunks that finished and re-runs only the unfinished remainder."""
-        import repro.parallel.runner as runner_mod
-
         runner = ParallelRunner(jobs=2)
-        real_run = runner_mod._run_timed
-        ran_serially = []
-
-        def counting_run(job):
-            ran_serially.append(job.load_rps)
-            return real_run(job)
-
-        def partial_pool(batch, workers, outputs, settle):
-            # Complete the first half, then fail like a broken pool.
-            for i in range(len(batch) // 2):
-                settle(i, *real_run(batch[i]))
-            raise OSError("worker pool failed mid-batch")
-
-        monkeypatch.setattr(runner, "_execute_pool", partial_pool)
-        monkeypatch.setattr(runner_mod, "_run_timed", counting_run)
         jobs = [
             SimJob(machine=_machine(), config=shinjuku(5.0),
                    workload=bimodal_50_1_50_100(), load_rps=load,
                    num_requests=200, seed=1)
             for load in (1e5, 2e5, 3e5, 4e5)
         ]
-        with pytest.warns(RuntimeWarning,
-                          match="2 unfinished job"):
-            results = runner.map(jobs)
-        # Only the unfinished remainder ran in-process.
-        assert ran_serially == [3e5, 4e5]
         serial = ParallelRunner(jobs=1).map(jobs)
-        assert results == serial
+
+        def partial_pool(jobs, pending, workers, results, settle, errors):
+            # Settle the first half with a marker, then fail like a
+            # broken pool.
+            for i in pending[:len(pending) // 2]:
+                settle(i, ("from the pool", i), 0.0)
+            raise OSError("worker pool failed mid-batch")
+
+        monkeypatch.setattr(runner, "_execute_pool", partial_pool)
+        with pytest.warns(RuntimeWarning, match="2 unfinished job"):
+            results = runner.map(jobs)
+        # Only the unfinished remainder ran in-process: the settled
+        # half kept the pool's values instead of being re-run.
+        assert results[:2] == [("from the pool", 0), ("from the pool", 1)]
+        assert results[2:] == serial[2:]
+        assert runner.stats["jobs_run"] == 4
+        assert runner.stats["fallbacks"] == 1
+
+    def test_in_process_error_is_the_original_exception(self):
+        """In-process, the job's own exception object is raised, after
+        the rest of the batch settled."""
+        job = _RaiseStored()
+        runner = ParallelRunner(jobs=1)
+        with pytest.raises(ValueError) as raised:
+            runner.map([_Echo(0), job, _Echo(2)])
+        assert raised.value is job.error
+        assert runner.stats["jobs_run"] == 2
 
     def test_default_runner_context(self):
         original = get_default_runner()

@@ -257,6 +257,35 @@ class TestWatchdogAndQuarantine:
         assert cache.stores == 3
         runner.close()
 
+    def test_raising_job_settles_the_same_serial_and_pooled(self, tmp_path):
+        """A job that raises lets every other job settle and be cached,
+        then the same error surfaces — whatever ``jobs`` is."""
+        batch = [QuickJob(1), ErrorJob(), QuickJob(3), QuickJob(4)]
+        outcomes = []
+        for jobs in (1, 2):
+            cache = ResultCache(tmp_path / "jobs{}".format(jobs))
+            with ParallelRunner(jobs=jobs, cache=cache) as runner:
+                with pytest.raises(ValueError) as raised:
+                    runner.map(batch)
+            looked_up = [cache.get(cache.key_for(job)) for job in batch]
+            stored = [value for hit, value in looked_up if hit]
+            outcomes.append((repr(raised.value), cache.stores, stored,
+                             runner.stats["jobs_run"]))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == (
+            repr(ValueError("bad sweep parameters")), 3,
+            [("ok", 1), ("ok", 3), ("ok", 4)], 3,
+        )
+
+    def test_quarantine_warning_points_at_the_caller(self):
+        runner = ParallelRunner(jobs=2, max_retries=0)
+        with pytest.warns(RuntimeWarning, match="quarantined") as captured:
+            results = runner.map([BadReturnJob(), QuickJob(7)])
+        runner.close()
+        assert isinstance(results[0], Quarantined)
+        assert results[1] == ("ok", 7)
+        assert [w.filename for w in captured] == [__file__]
+
     def test_retry_counters_reach_the_footer(self):
         runner = ParallelRunner(jobs=2, job_timeout=0.4, max_retries=0)
         with pytest.warns(RuntimeWarning, match="quarantined"):

@@ -11,6 +11,7 @@ and run calls, and requires identical observable state after every call.
 
 import heapq
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,8 @@ from repro.sim.engine import SimulationError, Simulator
 
 
 class ReferenceSimulator(Simulator):
-    """The engine with its previous four-loop ``run`` and ``step``."""
+    """The engine with its previous four-loop ``run`` and ``step``, plus
+    the current engine's rejection of an ``until`` before ``now``."""
 
     def step(self):
         heap = self._heap
@@ -48,6 +50,10 @@ class ReferenceSimulator(Simulator):
     def run(self, until=None, max_events=None):
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
+        if until is not None and until < self.now:
+            raise SimulationError(
+                "run(until={}) is before now={}".format(until, self.now)
+            )
         self._running = True
         heap = self._heap
         pop = heapq.heappop
@@ -170,7 +176,10 @@ class _Player:
             return None
         if kind == "run":
             until = None if op[1] is None else sim.now + op[1]
-            return sim.run(until=until, max_events=op[2])
+            try:
+                return sim.run(until=until, max_events=op[2])
+            except SimulationError as exc:
+                return "rejected: {}".format(exc)
         if kind == "step":
             return sim.step()
         label = len(self.log), kind
@@ -225,6 +234,24 @@ def test_cancelled_entry_past_until_is_dropped_on_the_way():
     assert sim.run(until=150) == 0
     assert sim.now == 150 and sim.heap_size == 1
     assert sim.run() == 1 and fired == ["kept"] and sim.now == 200
+
+
+def test_until_before_now_is_rejected_and_the_clock_holds():
+    """Regression: ``run(until=u)`` with ``u < now`` used to set ``now`` to
+    ``u``, after which a later event could fire before times already
+    fired."""
+    sim = Simulator()
+    fired = []
+    sim.at(100, lambda: fired.append(sim.now))
+    sim.at(300, lambda: fired.append(sim.now))
+    assert sim.run(until=150) == 1 and sim.now == 150
+    with pytest.raises(SimulationError, match="before now"):
+        sim.run(until=50)
+    assert sim.now == 150 and sim.pending == 1
+    sim.at(160, lambda: fired.append(sim.now))
+    assert sim.run(until=150) == 0  # until == now is a no-op, not an error
+    assert sim.run() == 2
+    assert fired == [100, 160, 300]
 
 
 def test_step_is_a_one_event_run():
